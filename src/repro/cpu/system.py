@@ -67,8 +67,9 @@ class SystemConfig:
     #: tests/test_kernel_parity.py) and the field never enters spec
     #: fingerprints, so results share cache entries across kernels.
     #: Runs the kernels cannot express — event tracing on, pollution
-    #: recording, non-registry replacement policies — silently use the
-    #: object path regardless.
+    #: recording, non-registry replacement policies — use the object
+    #: path regardless, warning once per reason when "py"/"compiled"
+    #: was chosen explicitly.
     kernel: str = "auto"
 
     @staticmethod
@@ -169,9 +170,10 @@ def _resolve_kernel(cfg):
     unresolved "auto" picks "compiled" when a toolchain is present and
     "py" otherwise (never an error).  Runs the kernels cannot express —
     tracing, pollution recording, generic replacement policies — fall back
-    to the object path whatever was selected; an *explicit* "compiled"
-    without a working toolchain raises (loud), while "auto" degrades to
-    "py" silently-but-gracefully.
+    to the object path whatever was selected, with a once-per-reason
+    warning when the kernel was chosen explicitly; an *explicit*
+    "compiled" without a working toolchain raises (loud), while "auto"
+    degrades to "py" silently-but-gracefully.
     """
     choice = cfg.kernel
     if choice == "auto":
@@ -181,14 +183,24 @@ def _resolve_kernel(cfg):
         choice = current_config().kernel
     if choice == "object":
         return "object"
-    if cfg.trace_prefetch or cfg.trace_cache or cfg.record_pollution_victims:
-        return "object"
     from repro.kernel.state import VICTIM_MODES
 
     hier = cfg.hierarchy
-    for level in (hier.l1, hier.l2, hier.llc):
-        if level.replacement not in VICTIM_MODES:
-            return "object"
+    if cfg.trace_prefetch or cfg.trace_cache:
+        fallback = "tracing"
+    elif cfg.record_pollution_victims:
+        fallback = "pollution"
+    elif any(
+        level.replacement not in VICTIM_MODES
+        for level in (hier.l1, hier.l2, hier.llc)
+    ):
+        fallback = "replacement"
+    else:
+        fallback = None
+    if fallback is not None:
+        if choice != "auto":
+            _warn_object_fallback(choice, fallback)
+        return "object"
     from repro.kernel import kernel_available
     from repro.kernel.execution import kernel_unavailable_reason
 
@@ -228,6 +240,31 @@ def _warn_kernel_degraded(reason):
     warnings.warn(
         f"compiled kernel unavailable, falling back to the pure-Python "
         f"kernel: {reason}",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+#: Fallback reasons already warned about (once per reason per process).
+_warned_object_fallbacks = set()
+
+_FALLBACK_CAUSES = {
+    "tracing": "event tracing",
+    "pollution": "pollution recording",
+    "replacement": "a replacement policy outside the kernels' set",
+}
+
+
+def _warn_object_fallback(choice, reason):
+    if reason in _warned_object_fallbacks:
+        return
+    _warned_object_fallbacks.add(reason)
+    import warnings
+
+    warnings.warn(
+        f"kernel={choice!r} does not support {_FALLBACK_CAUSES[reason]} "
+        f"({reason}); running on the object model instead "
+        f"(results are bit-identical)",
         RuntimeWarning,
         stacklevel=3,
     )

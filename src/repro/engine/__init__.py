@@ -12,16 +12,9 @@ surface is the **session API**:
   executes any batch with deterministic input-order merge and optional
   process-pool fan-out;
 - :class:`LocalDirBackend` / :class:`InMemoryBackend` /
-  :class:`TieredBackend` / :class:`RemoteBackend` / :class:`S3Backend`
-  — store backends (on-disk, ephemeral, read-through
-  local-over-shared, an HTTP(S) client for a ``repro serve`` cache
-  server, and a stdlib-only SigV4 client for any S3-compatible object
-  store);
-- the **sweep farm** (:class:`WorkQueue` / :class:`QueueClient` /
-  :func:`run_worker`) — ``Session.run(specs, distributed=True)`` offers
-  a batch to ``repro work`` peers through the cache server's
-  lease-based work queue, and transparently finishes locally whatever
-  the farm never delivers.
+  :class:`TieredBackend` — store backends (on-disk, ephemeral, and
+  read-through local-over-shared).  Anything implementing
+  :class:`StoreBackend` plugs in via ``Session(backend=...)``.
 
 Quick tour::
 
@@ -63,35 +56,21 @@ from repro.engine.fingerprint import (
     trace_fingerprint,
 )
 from repro.engine.parallel import execute_spec, execute_specs, mix_spec, run_spec
-from repro.engine.remote import CacheServer, RemoteBackend, make_server, serve_background
-from repro.engine.s3 import S3Backend
 from repro.engine.session import Session, default_session
 from repro.engine.specs import MixSpec, RunSpec, TraceSpec
 from repro.engine.store import ResultStore
-from repro.engine.workqueue import (
-    QueueClient,
-    WorkQueue,
-    run_worker,
-    spec_from_wire,
-    spec_to_wire,
-)
 
 __all__ = [
-    "CacheServer",
     "EngineConfig",
     "InMemoryBackend",
     "LocalDirBackend",
     "MixSpec",
-    "QueueClient",
-    "RemoteBackend",
     "ResultStore",
     "RunSpec",
-    "S3Backend",
     "Session",
     "StoreBackend",
     "TieredBackend",
     "TraceSpec",
-    "WorkQueue",
     "active_store",
     "backend_for",
     "code_salt",
@@ -101,7 +80,6 @@ __all__ = [
     "execute_spec",
     "execute_specs",
     "fingerprint",
-    "make_server",
     "mix_fingerprint",
     "mix_spec",
     "produce_mix",
@@ -110,9 +88,5 @@ __all__ = [
     "reset_config",
     "run_fingerprint",
     "run_spec",
-    "run_worker",
-    "serve_background",
-    "spec_from_wire",
-    "spec_to_wire",
     "trace_fingerprint",
 ]

@@ -483,22 +483,15 @@ class TieredBackend:
     Loads consult ``local`` first, then ``shared``; a shared hit is
     promoted into ``local`` — exactly once, since the promoted copy
     serves every later load — so subsequent loads (and gc recency) are
-    local.  ``clear`` and ``gc`` touch **only** the local tier.
-
-    By default (``write_through=False``) saves also touch only the local
-    tier: the shared tier is read-only by contract (a network mount, a
-    CI-published artifact directory, another host's cache) and must
-    never be written.  ``write_through=True`` additionally pushes every
-    save to the shared tier — the composition the engine builds for a
-    *remote* shared store (``--remote-cache``), where publishing fresh
-    results is the whole point and the remote backend handles its own
-    read-only/offline degradation.
+    local.  Saves, ``clear`` and ``gc`` touch **only** the local tier:
+    the shared tier is read-only by contract (a network mount, a
+    CI-published artifact directory, another host's cache) and is never
+    written.
     """
 
-    def __init__(self, local, shared, write_through=False):
+    def __init__(self, local, shared):
         self.local = local
         self.shared = shared
-        self.write_through = write_through
 
     @property
     def shared_across_processes(self):
@@ -514,16 +507,11 @@ class TieredBackend:
             return result
         result = self.shared.load_result(digest)
         if result is not None:
-            # Promotion targets the local tier directly (never through
-            # write_through): the artifact came *from* the shared tier,
-            # so pushing it back would be a pointless redundant write.
             self.local.save_result(digest, result, meta={"promoted": True})
         return result
 
     def save_result(self, digest, result, meta=None):
         self.local.save_result(digest, result, meta=meta)
-        if self.write_through:
-            self.shared.save_result(digest, result, meta=meta)
 
     def load_trace(self, digest):
         trace = self.local.load_trace(digest)
@@ -536,8 +524,6 @@ class TieredBackend:
 
     def save_trace(self, digest, trace):
         self.local.save_trace(digest, trace)
-        if self.write_through:
-            self.shared.save_trace(digest, trace)
 
     def clear(self):
         self.local.clear()
@@ -552,22 +538,12 @@ class TieredBackend:
         return None
 
     def stats(self):
-        """Local-tier stats plus the shared tier's entry counts.
-
-        ``setdefault`` so nesting (local-over-shared-dir, all over a
-        remote tier) keeps the innermost shared counts — the outer
-        (remote) tier reports through its own backend's ``stats``.
-        """
+        """Local-tier stats plus the shared tier's entry counts."""
         out = dict(self.local.stats())
         try:
             shared = self.shared.stats()
         except OSError:
             shared = {}
-        out.setdefault("shared_results", shared.get("results", 0))
-        out.setdefault("shared_traces", shared.get("traces", 0))
-        # A remote shared tier counts the round trips its /v1/has batch
-        # probes avoided; surface it so `repro cache` can show the win.
-        savings = getattr(self.shared, "probe_savings", None)
-        if savings is not None:
-            out.setdefault("probe_round_trips_saved", savings)
+        out["shared_results"] = shared.get("results", 0)
+        out["shared_traces"] = shared.get("traces", 0)
         return out

@@ -318,16 +318,14 @@ class TestEngineConfig:
         assert cfg.jobs == 2
         assert cfg.disk_cache is True
 
-    def test_s3_and_tls_knobs_resolve(self, monkeypatch):
-        monkeypatch.setenv("REPRO_S3_CACHE", "https://s3.example.org/bucket")
-        monkeypatch.setenv("REPRO_TLS_CA", "/etc/repro/ca.pem")
-        cfg = engine.current_config()
-        assert cfg.s3_cache_url == "https://s3.example.org/bucket"
-        assert cfg.tls_ca == "/etc/repro/ca.pem"
-        engine.configure(s3_cache_url="https://other/b", tls_ca="/tmp/pin.pem")
-        cfg = engine.current_config()
-        assert cfg.s3_cache_url == "https://other/b"
-        assert cfg.tls_ca == "/tmp/pin.pem"
+    def test_session_config_carries_the_kernel_choice(self, monkeypatch):
+        # Pool workers are configured from Session.config(); dropping the
+        # kernel there would run them under "auto" whatever was chosen.
+        engine.configure(kernel="py")
+        assert engine.Session(jobs=2).config().kernel == "py"
+        engine.reset_config()
+        monkeypatch.setenv("REPRO_KERNEL", "object")
+        assert engine.Session(jobs=2).config().kernel == "object"
 
 
 class TestVerifyScrub:

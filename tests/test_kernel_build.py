@@ -9,6 +9,10 @@ Two bug classes are pinned here:
   conflated with "no toolchain".  ``kernel='compiled'`` hard-fails with
   the classified reason; ``auto`` degrades to the py kernel with a
   warning that names it.
+
+Runs no flat kernel can express fall back to the object model; under an
+explicit kernel choice that fallback is warned about once per reason,
+under ``auto`` it stays quiet.
 """
 
 import pytest
@@ -128,6 +132,20 @@ def test_explicit_compiled_hard_fails_without_toolchain(monkeypatch):
         System(SystemConfig.single_thread("spp", kernel="compiled")).run(trace)
 
 
+def _force_engine_kernel(monkeypatch, kernel):
+    """Pin the engine-level kernel choice regardless of REPRO_KERNEL."""
+    import dataclasses
+
+    from repro.engine import config as engine_config
+
+    real_config = engine_config.current_config
+    monkeypatch.setattr(
+        engine_config,
+        "current_config",
+        lambda: dataclasses.replace(real_config(), kernel=kernel),
+    )
+
+
 def test_auto_degrades_with_warning_on_build_failure(monkeypatch):
     """auto + broken build -> py kernel, with a once-per-process warning
     naming the build failure (a missing toolchain stays quiet)."""
@@ -138,17 +156,7 @@ def test_auto_degrades_with_warning_on_build_failure(monkeypatch):
 
     monkeypatch.setattr(kex, "_probe", (False, "build", "synthetic codegen bug"))
     monkeypatch.setattr(system_mod, "_warned_kernel_degraded", False)
-    # Force the engine-level choice to auto regardless of REPRO_KERNEL.
-    import dataclasses
-
-    from repro.engine import config as engine_config
-
-    real_config = engine_config.current_config
-    monkeypatch.setattr(
-        engine_config,
-        "current_config",
-        lambda: dataclasses.replace(real_config(), kernel="auto"),
-    )
+    _force_engine_kernel(monkeypatch, "auto")
     trace = build_trace("ispec06.mcf", 300)
     with pytest.warns(RuntimeWarning, match="synthetic codegen bug"):
         result = System(SystemConfig.single_thread("spp", kernel="auto")).run(trace)
@@ -169,16 +177,7 @@ def test_auto_degrades_quietly_without_toolchain(monkeypatch):
 
     monkeypatch.setattr(kex, "_probe", (False, "toolchain", "no C compiler on PATH"))
     monkeypatch.setattr(system_mod, "_warned_kernel_degraded", False)
-    from repro.engine import config as engine_config
-
-    real_config = engine_config.current_config
-    import dataclasses
-
-    monkeypatch.setattr(
-        engine_config,
-        "current_config",
-        lambda: dataclasses.replace(real_config(), kernel="auto"),
-    )
+    _force_engine_kernel(monkeypatch, "auto")
     trace = build_trace("ispec06.mcf", 300)
     import warnings
 
@@ -186,3 +185,58 @@ def test_auto_degrades_quietly_without_toolchain(monkeypatch):
         warnings.simplefilter("error")
         result = System(SystemConfig.single_thread("spp", kernel="auto")).run(trace)
     assert result.instructions > 0
+
+
+def test_explicit_kernel_warns_once_on_object_fallback(monkeypatch):
+    import warnings
+
+    import repro.cpu.system as system_mod
+    from repro.cpu.system import System, SystemConfig
+    from repro.workloads.catalog import build_trace
+
+    monkeypatch.setattr(system_mod, "_warned_object_fallbacks", set())
+    trace = build_trace("ispec06.mcf", 300)
+    cfg = SystemConfig.single_thread(
+        "dspatch", kernel="compiled", record_pollution_victims=True
+    )
+    with pytest.warns(RuntimeWarning, match=r"\(pollution\)") as record:
+        fallback = System(cfg).run(trace)
+        System(cfg).run(trace)
+    assert len([w for w in record if "object model" in str(w.message)]) == 1
+    # The fallback is the object path itself: identical results.
+    reference = System(
+        SystemConfig.single_thread(
+            "dspatch", kernel="object", record_pollution_victims=True
+        )
+    ).run(trace)
+    assert fallback.to_dict() == reference.to_dict()
+    assert fallback.pollution_events == reference.pollution_events
+    # A different reason warns on its own.
+    with pytest.warns(RuntimeWarning, match=r"\(tracing\)"):
+        System(
+            SystemConfig.single_thread("dspatch", kernel="py", trace_prefetch=True)
+        ).run(trace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        System(cfg).run(trace)
+
+
+def test_auto_kernel_falls_back_to_object_quietly(monkeypatch):
+    import warnings
+
+    import repro.cpu.system as system_mod
+    from repro.cpu.system import System, SystemConfig
+    from repro.workloads.catalog import build_trace
+
+    monkeypatch.setattr(system_mod, "_warned_object_fallbacks", set())
+    _force_engine_kernel(monkeypatch, "auto")
+    trace = build_trace("ispec06.mcf", 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = System(
+            SystemConfig.single_thread(
+                "dspatch", kernel="auto", record_pollution_victims=True
+            )
+        ).run(trace)
+    assert result.instructions > 0
+    assert not system_mod._warned_object_fallbacks
