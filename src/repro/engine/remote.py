@@ -1,74 +1,46 @@
 """Remote artifact store: HTTP cache server + ``RemoteBackend`` client.
 
-This is the engine's first *genuinely remote* store: a small
-stdlib-only HTTP server that exposes a :class:`LocalDirBackend`-layout
-cache directory over the network, and a client backend implementing the
-:class:`~repro.engine.backends.StoreBackend` protocol against it.
-Because cache keys are content-addressed and salted (see
+A small stdlib-only HTTP server that exposes a :class:`LocalDirBackend`
+-layout cache directory over the network, and a client backend
+implementing the :class:`~repro.engine.backends.StoreBackend` protocol
+against it.  Because cache keys are content-addressed and salted (see
 :mod:`repro.engine.fingerprint`), artifacts are host-portable by
 construction — any machine that can reach the server shares the same
 experiment store.
 
-Wire format (version ``v1``, documented in ``docs/engine.md``):
+Nothing in the engine's configuration builds this store: it plugs in
+like any other backend, explicitly::
 
-- ``GET  /v1/results/<digest>`` — the raw pickled ``{"meta", "result"}``
-  payload, exactly the bytes :class:`LocalDirBackend` keeps in
-  ``results/<aa>/<digest>.pkl``.  ``200`` with the body, ``404`` on a
-  miss.  The response carries ``ETag: "sha256:<hex>"`` over the body
-  bytes; clients verify it before unpickling.
-- ``GET  /v1/traces/<digest>`` — the ``.npz`` trace bytes, same rules.
-- ``HEAD`` on either — headers only (existence / size probe).
-- ``PUT`` on either — store the request body atomically.  An optional
-  ``X-Repro-Sha256`` header is verified server-side before the bytes
-  are committed (``422`` on mismatch).  ``403`` in read-only mode.
-- ``DELETE /v1/artifacts`` — clear the whole store (``403`` read-only).
-- ``GET  /v1/stats`` — JSON ``{"results", "traces", "bytes",
-  "read_only"}``.
-- ``POST /v1/has`` — batch existence probe: ``{"results": [digest...],
-  "traces": [...]}`` in, per-digest hit maps out, so a submitter's
-  dedup pass costs one round trip instead of N HEADs.
-- ``POST /v1/queue/...`` + ``GET /v1/queue/stats`` — the sweep-farm
-  work queue (:mod:`repro.engine.workqueue`); queue mutations are
-  ``403`` in read-only mode like every other mutation.
+    from repro.engine import Session
+    from repro.engine.remote import RemoteBackend
 
-``<digest>`` must be lowercase hex (8–64 chars), which both validates
-the content-addressed key shape and makes path traversal structurally
-impossible.
+    session = Session(backend=RemoteBackend("http://cache-host:8765"))
 
-Optionally the server requires a shared secret (``repro serve
---auth-token`` / ``REPRO_CACHE_TOKEN``): every request must then carry
-it in ``X-Repro-Token`` (compared constant-time) or is answered ``401``.
-Clients treat a 401 exactly like the read-only 403 path — degrade to
-misses/no-ops with one warning, never an exception.
+and the server is started from Python, e.g.
+``CacheServer(("0.0.0.0", 8765), "/srv/cache").serve_forever()``.
+Importing :mod:`repro.engine` does not import this module.
 
-The wire can be TLS-secured end to end: ``repro serve --tls-cert
-CERT --tls-key KEY`` wraps every connection in stdlib ``ssl`` (so the
-shared-secret token no longer travels in cleartext), and clients accept
-``https://`` URLs — verifying against the system trust store by
-default, or against a pinned CA/self-signed certificate via
-``--tls-ca`` / ``REPRO_TLS_CA``.  A failed handshake (wrong CA, expired
-certificate, plain-HTTP client on a TLS port) is just another transport
-fault: the client degrades to misses with one warning and the server
-drops the connection without disturbing other clients.
+Wire format ``v1``: ``GET``/``HEAD``/``PUT`` on ``/v1/results/<digest>``
+(the pickled ``{"meta", "result"}`` bytes of ``results/<aa>/<digest>.pkl``)
+and ``/v1/traces/<digest>`` (the ``.npz`` bytes), ``DELETE
+/v1/artifacts`` to clear, and ``GET /v1/stats`` for JSON entry counts.
+Artifact bodies travel with their SHA-256 in ``X-Repro-Sha256`` both
+ways and are verified before use (``422`` on a bad upload); a read-only
+server answers mutations with ``403``.  ``<digest>`` must be 8–64
+lowercase hex chars, which also makes path traversal impossible.
 
 The client is engineered for graceful degradation: the remote store is
 an optimization, so *any* network, protocol or decode failure is a
 cache miss (loads) or a no-op (saves) with a one-time warning on
-stderr — never an exception out of a simulation run.  The transport
-half of that posture (connection pool, bounded retries with backoff,
-circuit breaker, warn-once degradation, TLS) lives in
-:class:`ResilientHttpClient` so other HTTP stores — notably
-:class:`repro.engine.s3.S3Backend` — inherit it unchanged.
+stderr — never an exception out of a simulation run.
 """
 
 import hashlib
-import hmac
 import http.client
 import io
 import json
 import pickle
 import re
-import ssl
 import sys
 import threading
 import time
@@ -87,11 +59,6 @@ _API = "/v1"
 
 _KINDS = ("results", "traces")
 
-#: Upper bound on JSON request bodies (/v1/has, /v1/queue/*): generous
-#: for real sweeps (a wire task is well under 1 KiB) while keeping a
-#: hostile Content-Length from ballooning server memory.
-_MAX_JSON_BODY = 16 << 20
-
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -104,9 +71,9 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
     """One request against the served cache directory.
 
     The handler reads and writes the *raw artifact bytes* through the
-    same path layout as :class:`LocalDirBackend`, so ``repro serve
-    --cache-dir ~/.cache/dspatch-repro`` publishes an existing local
-    cache without any import/export step.
+    same path layout as :class:`LocalDirBackend`, so serving
+    ``~/.cache/dspatch-repro`` publishes an existing local cache without
+    any import/export step.
     """
 
     server_version = "repro-cache/1"
@@ -116,58 +83,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:
             super().log_message(format, *args)
-
-    # -- request plumbing ----------------------------------------------------
-
-    def _authorized(self):
-        """Enforce the shared-secret token when the server has one.
-
-        Constant-time comparison so the token cannot be guessed
-        byte-by-byte from response timing.  Answers ``401`` (and returns
-        ``False``) on a missing or wrong token.
-        """
-        token = self.server.auth_token
-        if token is None:
-            return True
-        supplied = self.headers.get("X-Repro-Token") or ""
-        if hmac.compare_digest(supplied.encode(), token.encode()):
-            return True
-        self.send_error(401, "missing or invalid X-Repro-Token")
-        return False
-
-    def _read_json(self):
-        """Parse a bounded JSON object body, or answer an error and
-        return ``None``."""
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            self.send_error(411, "Content-Length required")
-            return None
-        if length < 0:
-            self.send_error(400, "negative Content-Length")
-            return None
-        if length > _MAX_JSON_BODY:
-            self.send_error(413, "request body too large")
-            return None
-        body = self.rfile.read(length)
-        if len(body) != length:
-            self.send_error(400, "truncated request body")
-            return None
-        try:
-            decoded = json.loads(body)
-        except ValueError:
-            self.send_error(400, "body must be valid JSON")
-            return None
-        if not isinstance(decoded, dict):
-            self.send_error(400, "body must be a JSON object")
-            return None
-        return decoded
-
-    def _send_json(self, obj, status=200):
-        body = json.dumps(obj, sort_keys=True).encode()
-        self._send_bytes(status, body, content_type="application/json")
-
-    # -- routing -------------------------------------------------------------
 
     def _artifact_path(self):
         """Resolve the URL to an on-disk artifact path, or answer an error.
@@ -200,19 +115,12 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         if self.command != "HEAD":
             self.wfile.write(body)
 
-    # -- verbs ---------------------------------------------------------------
-
     def do_GET(self):
-        if not self._authorized():
-            return
-        url = self.path.split("?", 1)[0]
-        if url == f"{_API}/stats":
+        if self.path.split("?", 1)[0] == f"{_API}/stats":
             stats = dict(self.server.store.stats())
             stats["read_only"] = self.server.read_only
-            self._send_json(stats)
-            return
-        if url == f"{_API}/queue/stats":
-            self._send_json(self.server.queue.stats())
+            body = json.dumps(stats, sort_keys=True).encode()
+            self._send_bytes(200, body, content_type="application/json")
             return
         path = self._artifact_path()
         if path is None:
@@ -227,8 +135,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
     do_HEAD = do_GET
 
     def do_PUT(self):
-        if not self._authorized():
-            return
         path = self._artifact_path()
         if path is None:
             return
@@ -261,8 +167,6 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self._send_bytes(201, b"")
 
     def do_DELETE(self):
-        if not self._authorized():
-            return
         if self.path.split("?", 1)[0] != f"{_API}/artifacts":
             self.send_error(404, "unknown path")
             return
@@ -272,283 +176,45 @@ class _CacheRequestHandler(BaseHTTPRequestHandler):
         self.server.store.clear()
         self._send_bytes(204, b"")
 
-    def do_POST(self):
-        if not self._authorized():
-            return
-        url = self.path.split("?", 1)[0]
-        body = self._read_json()
-        if body is None:
-            return
-        if url == f"{_API}/has":
-            self._handle_has(body)
-            return
-        prefix = f"{_API}/queue/"
-        if not url.startswith(prefix):
-            self.send_error(404, "unknown path")
-            return
-        if self.server.read_only:
-            # The queue hands out compute whose results are PUT back;
-            # a read-only store cannot accept them, so the whole queue
-            # namespace is read-only too.
-            self.send_error(403, "server is read-only")
-            return
-        action = url[len(prefix) :]
-        queue = self.server.queue
-        try:
-            if action == "submit":
-                tasks = body.get("tasks")
-                if not isinstance(tasks, list):
-                    raise ValueError("tasks must be a list")
-                out = queue.submit(tasks)
-            elif action == "lease":
-                out = {
-                    "leases": queue.lease(
-                        str(body.get("worker") or ""),
-                        max_tasks=body.get("max", 1),
-                        ttl=body.get("ttl"),
-                    )
-                }
-            elif action == "complete":
-                out = queue.complete(
-                    str(body.get("digest") or ""),
-                    body.get("lease"),
-                    worker=body.get("worker"),
-                )
-            elif action == "fail":
-                out = queue.fail(
-                    str(body.get("digest") or ""),
-                    body.get("lease"),
-                    worker=body.get("worker"),
-                    error=str(body.get("error") or ""),
-                )
-            elif action == "release":
-                out = queue.release(worker=body.get("worker"))
-            else:
-                self.send_error(404, "unknown queue action")
-                return
-        except (TypeError, ValueError) as exc:
-            self.send_error(400, str(exc))
-            return
-        self._send_json(out)
 
-    def _handle_has(self, body):
-        """Answer the batch existence probe: per-digest boolean hit maps."""
-        store = self.server.store
-        out = {}
-        for kind in _KINDS:
-            digests = body.get(kind, [])
-            if not isinstance(digests, list):
-                self.send_error(400, f"{kind} must be a list of digests")
-                return
-            hits = {}
-            for digest in digests:
-                if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)):
-                    self.send_error(400, "digest must be 8-64 lowercase hex chars")
-                    return
-                path = (
-                    store._result_path(digest)
-                    if kind == "results"
-                    else store._trace_path(digest)
-                )
-                hits[digest] = path.is_file()
-            out[kind] = hits
-        self._send_json(out)
+class CacheServer(ThreadingHTTPServer):
+    """Threaded HTTP server publishing one cache directory.
 
-
-class TlsServerMixin:
-    """TLS support for a :class:`ThreadingHTTPServer` subclass.
-
-    Call :meth:`_init_tls` *before* ``ThreadingHTTPServer.__init__`` so
-    a bad cert/key pair is a loud startup error, not a per-connection
-    surprise.  Used by :class:`CacheServer` and the fake-S3 test server
-    (:mod:`repro.engine.fakes3`) so both speak the same wire.
+    ``read_only=True`` turns every mutating verb (PUT/DELETE) into a
+    ``403`` — the mode for publishing a curated store (a CI artifact
+    cache, a reference-results host) that clients may read but not grow.
     """
 
-    #: Subclasses may set this; :meth:`handle_error` logs under it.
-    verbose = False
+    daemon_threads = True
 
-    def _init_tls(self, tls_cert, tls_key):
-        self._tls_context = None
-        if tls_cert:
-            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-            context.load_cert_chain(str(tls_cert), str(tls_key) if tls_key else None)
-            self._tls_context = context
-        elif tls_key:
-            raise ValueError("--tls-key without --tls-cert; provide both")
-
-    def get_request(self):
-        """Accept one connection, wrapping it in TLS when configured.
-
-        The handshake itself is deferred (``do_handshake_on_connect=
-        False``): OpenSSL performs it transparently on the handler
-        thread's first read, so a peer that never completes a handshake
-        cannot block the accept loop.
-        """
-        sock, addr = super().get_request()
-        if self._tls_context is not None:
-            sock = self._tls_context.wrap_socket(
-                sock, server_side=True, do_handshake_on_connect=False
-            )
-        return sock, addr
+    def __init__(self, address, cache_dir, read_only=False, verbose=False):
+        super().__init__(address, _CacheRequestHandler)
+        #: Path helpers + atomic writes + stats over the served tree.
+        #: Reads must not perturb the owner's LRU order.
+        self.store = LocalDirBackend(cache_dir, touch_on_load=False)
+        self.read_only = read_only
+        self.verbose = verbose
 
     def handle_error(self, request, client_address):
-        """Keep peer-inflicted transport noise off the server's stderr.
-
-        A failed TLS handshake (plain-HTTP client, wrong CA, scanner
-        probe) or an abruptly dropped connection is the *peer's*
-        failure; the stock implementation would print a full traceback
-        per incident.  Anything that is not a transport error still
-        reports normally — server bugs must stay visible.
-        """
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ssl.SSLError, ConnectionError, TimeoutError, OSError)):
-            if self.verbose:
-                print(
-                    f"dropped connection from {client_address}: {exc!r}",
-                    file=sys.stderr,
-                )
+        """Keep peer-inflicted transport noise (a dropped connection) off
+        stderr; anything else is a server bug and reports normally."""
+        if isinstance(sys.exc_info()[1], OSError):
             return
         super().handle_error(request, client_address)
 
     @property
     def url(self):
         host, port = self.server_address[:2]
-        scheme = "https" if self._tls_context is not None else "http"
-        return f"{scheme}://{host}:{port}"
+        return f"http://{host}:{port}"
 
 
-class CacheServer(TlsServerMixin, ThreadingHTTPServer):
-    """Threaded HTTP server publishing one cache directory.
-
-    ``read_only=True`` turns every mutating verb (PUT/DELETE, and the
-    whole queue namespace) into a ``403`` — the mode for publishing a
-    curated store (a CI artifact cache, a reference-results host) that
-    clients may read but not grow.
-
-    The server doubles as the sweep-farm coordinator (``self.queue``, a
-    :class:`~repro.engine.workqueue.WorkQueue`) and can keep a
-    long-lived team cache bounded: ``gc_max_bytes`` starts a daemon
-    thread that re-runs :meth:`LocalDirBackend.gc` (LRU-by-mtime
-    eviction) every ``gc_interval`` seconds.
-
-    ``tls_cert``/``tls_key`` (PEM paths) switch the wire to TLS: every
-    accepted connection is wrapped server-side, the handshake deferred
-    to the per-connection handler thread (``do_handshake_on_connect=
-    False``) so a hostile or confused peer can stall only its own
-    thread, never the accept loop.  Handshake failures are dropped
-    silently (logged under ``verbose``) — a port scanner or a plain-HTTP
-    client must not spray tracebacks over the coordinator's stderr.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address,
-        cache_dir,
-        read_only=False,
-        verbose=False,
-        auth_token=None,
-        gc_max_bytes=None,
-        gc_interval=60.0,
-        tls_cert=None,
-        tls_key=None,
-    ):
-        self._init_tls(tls_cert, tls_key)
-        super().__init__(address, _CacheRequestHandler)
-        #: Path helpers + atomic writes + stats over the served tree.
-        #: touch_on_load is irrelevant (the server never loads objects),
-        #: but reads must not perturb the owner's LRU order either.
-        self.store = LocalDirBackend(cache_dir, touch_on_load=False)
-        self.read_only = read_only
-        self.verbose = verbose
-        self.auth_token = auth_token or None
-        from repro.engine.workqueue import WorkQueue
-
-        self.queue = WorkQueue(have_artifact=self._have_artifact)
-        self._gc_stop = threading.Event()
-        self._gc_thread = None
-        if gc_max_bytes:
-            self.gc_max_bytes = int(gc_max_bytes)
-            self.gc_interval = max(0.05, float(gc_interval))
-            self._gc_thread = threading.Thread(target=self._gc_loop, daemon=True)
-            self._gc_thread.start()
-
-    def _have_artifact(self, kind, digest):
-        """Completion oracle for the queue: do the bytes actually exist?"""
-        store = self.store
-        path = (
-            store._trace_path(digest) if kind == "trace" else store._result_path(digest)
-        )
-        return path.is_file()
-
-    def _gc_loop(self):
-        while True:
-            try:
-                self.store.gc(self.gc_max_bytes)
-            except OSError:
-                pass  # best-effort, like every other eviction path
-            if self._gc_stop.wait(self.gc_interval):
-                return
-
-    def server_close(self):
-        self._gc_stop.set()
-        super().server_close()
-
-
-def make_server(
-    cache_dir,
-    host="127.0.0.1",
-    port=0,
-    read_only=False,
-    verbose=False,
-    auth_token=None,
-    gc_max_bytes=None,
-    gc_interval=60.0,
-    tls_cert=None,
-    tls_key=None,
-):
-    """Bind a :class:`CacheServer` (``port=0`` = ephemeral)."""
-    return CacheServer(
-        (host, port),
-        cache_dir,
-        read_only=read_only,
-        verbose=verbose,
-        auth_token=auth_token,
-        gc_max_bytes=gc_max_bytes,
-        gc_interval=gc_interval,
-        tls_cert=tls_cert,
-        tls_key=tls_key,
-    )
-
-
-def serve_background(
-    cache_dir,
-    host="127.0.0.1",
-    port=0,
-    read_only=False,
-    auth_token=None,
-    gc_max_bytes=None,
-    gc_interval=60.0,
-    tls_cert=None,
-    tls_key=None,
-):
+def serve_background(cache_dir, host="127.0.0.1", port=0, read_only=False):
     """Start a server on a daemon thread; returns ``(server, thread)``.
 
-    For tests and in-process demos: ``server.url`` is the base URL,
-    ``server.shutdown()`` stops it.
+    ``port=0`` binds an ephemeral port; ``server.url`` is the base URL
+    and ``server.shutdown()`` stops it.
     """
-    server = make_server(
-        cache_dir,
-        host=host,
-        port=port,
-        read_only=read_only,
-        auth_token=auth_token,
-        gc_max_bytes=gc_max_bytes,
-        gc_interval=gc_interval,
-        tls_cert=tls_cert,
-        tls_key=tls_key,
-    )
+    server = CacheServer((host, port), cache_dir, read_only=read_only)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -557,75 +223,66 @@ def serve_background(
 # -- client ------------------------------------------------------------------
 
 
-class ResilientHttpClient:
-    """Shared transport posture for every HTTP-backed store client.
+class RemoteBackend:
+    """:class:`StoreBackend` client for a :class:`CacheServer`.
 
-    One place owns the engine's network discipline so every remote tier
-    (the cache server client below, the S3 client in
-    :mod:`repro.engine.s3`) degrades identically:
+    Transport discipline:
 
     - a small pool of keep-alive connections (``pool_size``), shared by
       the session's threads and rebuilt transparently after an error;
     - every request is bounded by ``timeout`` seconds and retried at
-      most ``retries`` times with exponential backoff (transport errors,
-      5xx responses and 429 throttling retry; 404 is an honest miss and
-      does not);
+      most ``retries`` times with exponential backoff (transport errors
+      and 5xx responses retry; 404 is an honest miss and does not);
     - a request that exhausts its retries opens a circuit breaker for
       ``cooldown`` seconds: later operations short-circuit to misses
       instead of each re-paying the full retries x timeout cycle
       against a dead-but-timing-out peer;
-    - *no* failure escapes ``_request``: it returns ``None`` (degrade
-      now) after firing one warning per URL per process;
-    - ``https`` URLs wrap every connection in TLS.  Certificates verify
-      against the system trust store, or against a pinned CA bundle /
-      self-signed certificate when ``ca_file`` is given.  A handshake
-      or verification failure is an ordinary transport fault: retried,
-      then degraded — never an exception out of a simulation run.
+    - *no* failure escapes: loads miss and saves no-op after one warning
+      per URL per process;
+    - a ``403`` on PUT flips the client into read-only mode (the server
+      is read-only) and silently stops writing.
 
-    Instances are picklable (connections, locks and SSL contexts are
-    rebuilt on unpickling), so remote-backed sessions can fan work
-    across the process pool.
+    Integrity: responses carry the body's SHA-256 (``X-Repro-Sha256``);
+    the client verifies it before decoding, and sends the same header on
+    PUT so the server can reject bytes corrupted in flight.  The digest
+    *key* is already content-addressed, so a verified payload under the
+    right key is the right artifact.
+
+    ``https://`` URLs (a TLS-terminating proxy in front of the server)
+    verify against the system trust store.  Instances are picklable
+    (connections and locks are rebuilt on unpickling), so remote-backed
+    sessions can fan work across the process pool.
     """
 
     shared_across_processes = True
 
-    #: URLs that already warned about degradation (class-level and shared
-    #: by every subclass: once per process per peer, not per instance).
+    #: URLs that already warned (class-level: once per process per
+    #: server, not once per instance).
     _warned_unreachable = set()
+    _warned_read_only = set()
 
-    #: How warnings name the peer; subclasses override for accuracy.
-    _peer_noun = "remote cache"
-
-    def __init__(
-        self,
-        scheme,
-        host,
-        port,
-        timeout=5.0,
-        retries=2,
-        backoff=0.1,
-        pool_size=4,
-        cooldown=30.0,
-        ca_file=None,
-    ):
-        if scheme not in ("http", "https"):
-            raise ValueError(f"unsupported URL scheme {scheme!r} (use http or https)")
-        self.scheme = scheme
-        self.host = host
-        self.port = int(port) if port else (443 if scheme == "https" else 80)
+    def __init__(self, url, timeout=5.0, retries=2, backoff=0.1, pool_size=4, cooldown=30.0):
+        split = urlsplit(url if "//" in url else f"http://{url}")
+        if split.scheme not in ("http", "https"):
+            raise ValueError(f"RemoteBackend speaks http(s), got {url!r}")
+        if not split.hostname:
+            raise ValueError(f"remote cache URL has no host: {url!r}")
+        if split.path.strip("/"):
+            # A silently dropped prefix would turn every request into a
+            # 404 "miss" and disable the cache without a word.
+            raise ValueError(
+                f"remote cache URL must not have a path, got {url!r} "
+                "(the server owns the /v1/... namespace)"
+            )
+        self.scheme = split.scheme
+        self.host = split.hostname
+        self.port = split.port or (443 if self.scheme == "https" else 80)
         self.url = f"{self.scheme}://{self.host}:{self.port}"
         self.timeout = float(timeout)
         self.retries = max(0, int(retries))
         self.backoff = float(backoff)
         self.pool_size = max(1, int(pool_size))
-        #: Circuit-breaker window: after a request exhausts its retries,
-        #: further requests short-circuit to misses for this many
-        #: seconds instead of each paying the full retry x timeout cost.
         self.cooldown = float(cooldown)
-        #: Optional CA bundle path pinning the peer's certificate chain
-        #: (the self-signed-cert deployment recipe); ``None`` = system
-        #: trust store.  Ignored for plain-http peers.
-        self.ca_file = str(ca_file) if ca_file else None
         self._down_until = 0.0
         self._read_only = False
         self._init_pool()
@@ -633,15 +290,12 @@ class ResilientHttpClient:
     def _init_pool(self):
         self._pool = []
         self._lock = threading.Lock()
-        #: Built lazily inside the request loop so a bad/missing CA file
-        #: degrades like any other transport fault instead of raising.
-        self._ssl_context = None
 
-    # Connections, locks and SSL contexts must not cross pickle
-    # (process-pool workers rebuild their own against the same peer).
+    # Connections and locks must not cross pickle (process-pool workers
+    # rebuild their own against the same server).
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_pool"], state["_lock"], state["_ssl_context"]
+        del state["_pool"], state["_lock"]
         return state
 
     def __setstate__(self, state):
@@ -650,24 +304,12 @@ class ResilientHttpClient:
 
     # -- transport -----------------------------------------------------------
 
-    def _tls_client_context(self):
-        if self._ssl_context is None:
-            # create_default_context = verified hostname + chain; a pinned
-            # ca_file narrows trust to that bundle (self-signed recipe).
-            self._ssl_context = ssl.create_default_context(cafile=self.ca_file)
-        return self._ssl_context
-
     def _checkout(self):
         with self._lock:
             if self._pool:
                 return self._pool.pop()
         if self.scheme == "https":
-            return http.client.HTTPSConnection(
-                self.host,
-                self.port,
-                timeout=self.timeout,
-                context=self._tls_client_context(),
-            )
+            return http.client.HTTPSConnection(self.host, self.port, timeout=self.timeout)
         return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
 
     def _checkin(self, conn):
@@ -684,19 +326,10 @@ class ResilientHttpClient:
         for conn in stale:
             conn.close()
 
-    def _headers_for(self, method, target, body, headers):
-        """Per-attempt request headers; subclasses add auth/signatures.
-
-        Called once per retry attempt (not once per request) so
-        freshness-sensitive headers — SigV4 timestamps — are never
-        replayed stale.
-        """
-        return dict(headers or {})
-
     def _request(self, method, target, body=None, headers=None):
         """One bounded-retry request; ``(status, headers, body)`` or ``None``.
 
-        ``None`` means the peer is unusable for this operation (after
+        ``None`` means the server is unusable for this operation (after
         retries, or instantly while the breaker is open) and the caller
         must degrade; the one-time warning has already fired.
         """
@@ -708,33 +341,26 @@ class ResilientHttpClient:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             conn = None
             try:
-                request_headers = self._headers_for(method, target, body, headers)
                 conn = self._checkout()
-                conn.request(method, target, body=body, headers=request_headers)
+                conn.request(method, target, body=body, headers=dict(headers or {}))
                 response = conn.getresponse()
                 payload = response.read()
             except (OSError, http.client.HTTPException) as exc:
-                # Covers refused/reset connections, timeouts, truncated
-                # responses and every ssl.SSLError (handshake and
-                # certificate-verification failures).  The whole pool
-                # shares the failed peer; retry on a fresh connection
-                # rather than another stale one.
+                # Refused/reset connections, timeouts, truncated
+                # responses.  The whole pool shares the failed peer;
+                # retry on a fresh connection rather than a stale one.
                 if conn is not None:
                     conn.close()
                 self._drop_pool()
                 last_error = exc
                 continue
-            if response.status >= 500 or response.status == 429:
-                # 5xx: the peer is broken.  429: it is throttling us —
-                # S3-compatible stores shed load this way; backoff and
-                # retry is exactly what they ask for.
-                self._checkin(conn)
+            self._checkin(conn)
+            if response.status >= 500:
                 last_error = f"HTTP {response.status}"
                 continue
-            self._checkin(conn)
             self._down_until = 0.0
             return response.status, {k.lower(): v for k, v in response.getheaders()}, payload
-        # Open the breaker: a remote that times out (rather than refuses)
+        # Open the breaker: a server that times out (rather than refuses)
         # would otherwise stall every later operation for the full
         # retries x timeout cycle; recovery is retried after cooldown.
         self._down_until = time.monotonic() + self.cooldown
@@ -742,108 +368,11 @@ class ResilientHttpClient:
         return None
 
     def _degrade(self, error):
-        if self.url not in ResilientHttpClient._warned_unreachable:
-            ResilientHttpClient._warned_unreachable.add(self.url)
+        if self.url not in RemoteBackend._warned_unreachable:
+            RemoteBackend._warned_unreachable.add(self.url)
             print(
-                f"warning: {self._peer_noun} at {self.url} is unavailable ({error}); "
+                f"warning: remote cache at {self.url} is unavailable ({error}); "
                 "treating it as a miss",
-                file=sys.stderr,
-            )
-
-
-class RemoteBackend(ResilientHttpClient):
-    """:class:`StoreBackend` client for a :class:`CacheServer`.
-
-    Rides the :class:`ResilientHttpClient` transport (keep-alive pool,
-    bounded retries with backoff, circuit breaker, TLS, warn-once total
-    degradation) and adds the cache-server wire protocol:
-
-    - a ``403`` on PUT flips the client into read-only mode (the server
-      was started with ``--read-only``) and silently stops writing;
-    - a ``401`` (wrong/missing ``--auth-token`` secret) degrades the
-      same way, with its own one-time warning.
-
-    Integrity: responses carry the body's SHA-256 (``X-Repro-Sha256`` /
-    ``ETag``); the client verifies it before decoding, and sends the
-    same header on PUT so the server can reject bytes corrupted in
-    flight.  The digest *key* is already content-addressed, so a
-    verified payload under the right key is the right artifact.
-    """
-
-    #: URLs that already warned about read-only/auth fallback
-    #: (class-level: once per process per server, not once per instance).
-    _warned_read_only = set()
-    _warned_auth = set()
-
-    def __init__(
-        self,
-        url,
-        timeout=5.0,
-        retries=2,
-        backoff=0.1,
-        pool_size=4,
-        cooldown=30.0,
-        token=None,
-        ca_file=None,
-    ):
-        split = urlsplit(url if "//" in url else f"http://{url}")
-        if split.scheme not in ("http", "https"):
-            raise ValueError(f"RemoteBackend speaks http(s), got {url!r}")
-        if not split.hostname:
-            raise ValueError(f"remote cache URL has no host: {url!r}")
-        if split.path.strip("/"):
-            # A silently dropped prefix would turn every request into a
-            # 404 "miss" and disable the cache without a word.
-            raise ValueError(
-                f"remote cache URL must not have a path, got {url!r} "
-                "(the server owns the /v1/... namespace)"
-            )
-        super().__init__(
-            split.scheme,
-            split.hostname,
-            split.port,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            pool_size=pool_size,
-            cooldown=cooldown,
-            ca_file=ca_file,
-        )
-        #: Shared secret sent as ``X-Repro-Token`` on every request when
-        #: the server requires one (``repro serve --auth-token``).
-        self.token = token or None
-        #: Batch-probe accounting (``/v1/has``): digests checked vs
-        #: round trips paid; surfaced as :attr:`probe_savings`.
-        self._probe_digests = 0
-        self._probe_calls = 0
-
-    def _headers_for(self, method, target, body, headers):
-        request_headers = dict(headers or {})
-        if self.token:
-            request_headers.setdefault("X-Repro-Token", self.token)
-        return request_headers
-
-    def _note_read_only(self):
-        self._read_only = True
-        if self.url not in RemoteBackend._warned_read_only:
-            RemoteBackend._warned_read_only.add(self.url)
-            print(
-                f"note: remote cache at {self.url} is read-only; "
-                "results will not be pushed",
-                file=sys.stderr,
-            )
-
-    def _note_auth(self):
-        """A 401: wrong/missing shared secret.  Degrade exactly like the
-        read-only 403 path — stop pushing, treat loads as misses, one
-        warning per URL per process."""
-        self._read_only = True
-        if self.url not in RemoteBackend._warned_auth:
-            RemoteBackend._warned_auth.add(self.url)
-            print(
-                f"warning: remote cache at {self.url} rejected our credentials "
-                "(HTTP 401); treating it as a miss "
-                "(set REPRO_CACHE_TOKEN to match the server)",
                 file=sys.stderr,
             )
 
@@ -853,9 +382,6 @@ class RemoteBackend(ResilientHttpClient):
         if response is None:
             return None
         status, headers, payload = response
-        if status == 401:
-            self._note_auth()
-            return None
         if status != 200:
             return None  # 404 and friends: an honest miss, no warning
         expected = headers.get("x-repro-sha256")
@@ -874,9 +400,14 @@ class RemoteBackend(ResilientHttpClient):
             headers={"X-Repro-Sha256": _sha256(payload)},
         )
         if response is not None and response[0] == 403:
-            self._note_read_only()
-        elif response is not None and response[0] == 401:
-            self._note_auth()
+            self._read_only = True
+            if self.url not in RemoteBackend._warned_read_only:
+                RemoteBackend._warned_read_only.add(self.url)
+                print(
+                    f"note: remote cache at {self.url} is read-only; "
+                    "results will not be pushed",
+                    file=sys.stderr,
+                )
 
     # -- StoreBackend surface ------------------------------------------------
 
@@ -912,46 +443,6 @@ class RemoteBackend(ResilientHttpClient):
         buffer = io.BytesIO()
         trace.save(buffer)
         self._push("traces", digest, buffer.getvalue())
-
-    def has_batch(self, results=(), traces=()):
-        """Batch existence probe: one round trip for many digests.
-
-        Returns ``{"results": {digest: bool}, "traces": {...}}`` or
-        ``None`` when the server is unreachable, pre-dates ``/v1/has``
-        (404) or refuses auth — callers fall back to per-digest loads.
-        """
-        results, traces = list(results), list(traces)
-        payload = json.dumps({"results": results, "traces": traces}).encode()
-        response = self._request(
-            "POST",
-            f"{_API}/has",
-            body=payload,
-            headers={"Content-Type": "application/json"},
-        )
-        if response is None:
-            return None
-        if response[0] == 401:
-            self._note_auth()
-            return None
-        if response[0] != 200:
-            return None
-        try:
-            decoded = json.loads(response[2])
-        except ValueError:
-            return None
-        if not isinstance(decoded, dict):
-            return None
-        # Count savings only for probes that actually worked.
-        self._probe_digests += len(results) + len(traces)
-        self._probe_calls += 1
-        return decoded
-
-    @property
-    def probe_savings(self):
-        """Round trips avoided by batch probes: digests checked minus
-        ``/v1/has`` calls paid (each digest would otherwise cost one
-        HEAD/GET)."""
-        return max(0, self._probe_digests - self._probe_calls)
 
     def clear(self):
         """Ask the server to clear the store (no-op if refused/offline)."""

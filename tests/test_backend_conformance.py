@@ -3,24 +3,21 @@
 Backends are the engine's load-bearing persistence abstraction: a
 session will happily plug in any object implementing the protocol, so
 every implementation — current and future — must agree on the observable
-contract.  This suite runs the same assertions against all three shipped
+contract.  This suite runs the same assertions against all four shipped
 backends:
 
 - ``local``  — :class:`LocalDirBackend` on a tmp directory;
 - ``memory`` — :class:`InMemoryBackend`;
 - ``tiered`` — :class:`TieredBackend` (local dir over a read-only
-  shared dir).
+  shared dir);
+- ``remote`` — :class:`RemoteBackend` against a :class:`CacheServer`
+  spawned in-process on an ephemeral port.
 
 The contract under test: put/get round-trips preserve payloads
 bit-for-bit, unknown keys are honest ``None`` misses, overwrites are
 last-write-wins, keys are isolated, and every artifact type a spec can
 produce (``RunResult``, ``MultiProgramResult``, ``Trace``) survives the
 round trip — a hit must be indistinguishable from a fresh computation.
-
-Backend-specific behaviour is pinned below the shared suite: on-disk
-damage in :class:`LocalDirBackend` reads as a miss and recomputes, and
-the tiered composition promotes shared-tier hits into the local tier
-exactly once while never writing the read-only shared tier.
 """
 
 import numpy as np
@@ -37,12 +34,13 @@ from repro.engine import (
     TieredBackend,
     TraceSpec,
 )
+from repro.engine.remote import RemoteBackend, serve_background
 
 #: Well-formed content-addressed keys (64 lowercase hex chars).
 DIGEST_A = "aa" + "0" * 62
 DIGEST_B = "bb" + "0" * 62
 
-BACKENDS = ("local", "memory", "tiered")
+BACKENDS = ("local", "memory", "tiered", "remote")
 
 
 def _tiny_trace():
@@ -56,15 +54,24 @@ def _tiny_trace():
 
 @pytest.fixture(params=BACKENDS)
 def backend(request, tmp_path):
-    """One instance of each shipped backend."""
+    """One instance of each shipped backend, torn down cleanly."""
     if request.param == "local":
-        return LocalDirBackend(tmp_path / "store")
-    if request.param == "memory":
-        return InMemoryBackend()
-    return TieredBackend(
-        LocalDirBackend(tmp_path / "local"),
-        LocalDirBackend(tmp_path / "shared", touch_on_load=False),
-    )
+        yield LocalDirBackend(tmp_path / "store")
+    elif request.param == "memory":
+        yield InMemoryBackend()
+    elif request.param == "tiered":
+        yield TieredBackend(
+            LocalDirBackend(tmp_path / "local"),
+            LocalDirBackend(tmp_path / "shared", touch_on_load=False),
+        )
+    else:
+        server, thread = serve_background(tmp_path / "served")
+        try:
+            yield RemoteBackend(server.url, timeout=5.0, retries=1, backoff=0.01)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
 
 
 class TestProtocolConformance:
@@ -167,127 +174,3 @@ class TestSessionResultTypes:
         assert reloaded is not fresh
         assert list(reloaded) == list(fresh)
 
-
-class TestDiskCorruption:
-    """On-disk damage in LocalDirBackend reads as a miss and recomputes."""
-
-    def test_truncated_pickle_is_a_miss(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.save_result(DIGEST_A, {"v": 1})
-        path = backend._result_path(DIGEST_A)
-        path.write_bytes(path.read_bytes()[:11])
-        assert backend.load_result(DIGEST_A) is None
-
-    def test_garbage_pickle_is_a_miss(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.save_result(DIGEST_A, {"v": 1})
-        backend._result_path(DIGEST_A).write_bytes(b"\x80\x05garbage")
-        assert backend.load_result(DIGEST_A) is None
-
-    def test_truncated_npz_is_a_miss(self, tmp_path):
-        # A truncated .npz raises zipfile.BadZipFile — which is not an
-        # OSError; the load must swallow it as a miss, not crash.
-        session = Session(backend=LocalDirBackend(tmp_path))
-        spec = TraceSpec("ispec06.mcf", 250)
-        fresh = session.trace(spec)
-        path = session.store._trace_path(spec.fingerprint())
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert session.store.load_trace(spec.fingerprint()) is None
-        # ...and the session recomputes right through it.
-        session.clear(disk=False)
-        assert list(session.trace(spec)) == list(fresh)
-
-    def test_garbage_npz_is_a_miss(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        path = backend._trace_path(DIGEST_A)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"PK\x03\x04 but not really a zip")
-        assert backend.load_trace(DIGEST_A) is None
-
-    def test_corrupt_result_is_recomputed_bitwise(self, tmp_path):
-        session = Session(backend=LocalDirBackend(tmp_path))
-        spec = RunSpec("ispec06.mcf", "none", 300)
-        fresh = session.run(spec)
-        path = session.store._result_path(spec.fingerprint())
-        path.write_bytes(b"rotten")
-        session.clear(disk=False)
-        assert session.run(spec).to_dict() == fresh.to_dict()
-
-
-class _Counting:
-    """StoreBackend wrapper counting calls per method (promotion audits)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = {}
-
-    def _count(self, name):
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    @property
-    def shared_across_processes(self):
-        return self.inner.shared_across_processes
-
-    def load_result(self, digest):
-        self._count("load_result")
-        return self.inner.load_result(digest)
-
-    def save_result(self, digest, result, meta=None):
-        self._count("save_result")
-        return self.inner.save_result(digest, result, meta=meta)
-
-    def load_trace(self, digest):
-        self._count("load_trace")
-        return self.inner.load_trace(digest)
-
-    def save_trace(self, digest, trace):
-        self._count("save_trace")
-        return self.inner.save_trace(digest, trace)
-
-    def clear(self):
-        self._count("clear")
-        return self.inner.clear()
-
-    def stats(self):
-        self._count("stats")
-        return self.inner.stats()
-
-
-class TestTieredPromotion:
-    def test_shared_hit_promotes_to_local_exactly_once(self):
-        shared = _Counting(InMemoryBackend())
-        shared.inner.save_result(DIGEST_A, {"v": 1})
-        local = _Counting(InMemoryBackend())
-        tiered = TieredBackend(local, shared)
-        assert tiered.load_result(DIGEST_A) == {"v": 1}
-        assert tiered.load_result(DIGEST_A) == {"v": 1}
-        # First load read through and promoted; the second was served
-        # locally without touching the shared tier again.
-        assert local.calls["save_result"] == 1
-        assert shared.calls["load_result"] == 1
-
-    def test_read_only_shared_tier_is_never_written(self):
-        shared = _Counting(InMemoryBackend())
-        shared.inner.save_result(DIGEST_A, {"v": 1})
-        local = _Counting(InMemoryBackend())
-        tiered = TieredBackend(local, shared)
-        tiered.load_result(DIGEST_A)  # promotion
-        tiered.save_result(DIGEST_B, {"v": 2})  # ordinary save
-        tiered.clear()
-        assert "save_result" not in shared.calls
-        assert "save_trace" not in shared.calls
-        assert "clear" not in shared.calls
-
-    def test_promotion_survives_failing_local_tier(self, tmp_path):
-        """A read-only local tier degrades promotion, never the load."""
-        shared = LocalDirBackend(tmp_path / "shared")
-        shared.save_result(DIGEST_A, {"v": 1})
-        local_root = tmp_path / "frozen"
-        local_root.mkdir()
-        local = LocalDirBackend(local_root)
-        local_root.chmod(0o500)  # unwritable: promotion will fail
-        try:
-            tiered = TieredBackend(local, shared)
-            assert tiered.load_result(DIGEST_A) == {"v": 1}
-        finally:
-            local_root.chmod(0o700)

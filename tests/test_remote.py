@@ -20,14 +20,12 @@ import pytest
 from repro.engine import (
     InMemoryBackend,
     LocalDirBackend,
-    RemoteBackend,
     RunSpec,
     Session,
     TieredBackend,
     TraceSpec,
 )
-from repro.engine import config as engine_config
-from repro.engine.remote import serve_background
+from repro.engine.remote import RemoteBackend, serve_background
 
 DIGEST = "ab" + "0" * 62
 
@@ -261,25 +259,21 @@ class TestNetworkFaults:
         server, thread = serve_background(tmp_path / "served")
         url = server.url
         session = Session(
-            backend=TieredBackend(
-                LocalDirBackend(tmp_path / "local-a"),
-                RemoteBackend(url, timeout=0.3, retries=1, backoff=0.01),
-                write_through=True,
-            )
+            backend=RemoteBackend(url, timeout=0.3, retries=1, backoff=0.01)
         )
         alive = session.run(RunSpec("ispec06.mcf", "none", 300))
+        assert LocalDirBackend(tmp_path / "served").stats()["results"] == 1
 
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
 
-        # A fresh machine pointing at the dead server: every load misses,
-        # every save no-ops, the run itself recomputes and matches.
+        # A fresh machine reading through to the dead server: every
+        # remote load misses, the run itself recomputes and matches.
         survivor = Session(
             backend=TieredBackend(
                 LocalDirBackend(tmp_path / "local-b"),
                 RemoteBackend(url, timeout=0.3, retries=1, backoff=0.01),
-                write_through=True,
             )
         )
         specs = [
@@ -454,22 +448,6 @@ class TestTieredPromotion:
         assert "save_trace" not in shared.calls
         assert "clear" not in shared.calls
 
-    def test_write_through_saves_to_both_tiers(self):
-        local, shared = InMemoryBackend(), InMemoryBackend()
-        tiered = TieredBackend(local, shared, write_through=True)
-        tiered.save_result(DIGEST, {"v": 1})
-        assert local.load_result(DIGEST) == {"v": 1}
-        assert shared.load_result(DIGEST) == {"v": 1}
-
-    def test_write_through_promotion_never_writes_back(self):
-        # An artifact that came *from* the shared tier must not be pushed
-        # back to it by the promotion, even under write_through.
-        shared = _Counting(InMemoryBackend())
-        shared.inner.save_result(DIGEST, {"v": 1})
-        tiered = TieredBackend(InMemoryBackend(), shared, write_through=True)
-        assert tiered.load_result(DIGEST) == {"v": 1}
-        assert "save_result" not in shared.calls
-
     def test_promotion_survives_failing_local_tier(self, tmp_path):
         """A read-only local tier degrades promotion, never the load."""
         shared = LocalDirBackend(tmp_path / "shared")
@@ -485,88 +463,7 @@ class TestTieredPromotion:
             local_root.chmod(0o700)
 
 
-class TestRemoteConfigWiring:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        engine_config.reset_config()
-        yield
-        engine_config.reset_config()
-        engine_config._REMOTE_CLIENTS.clear()
-
-    def test_env_var_builds_write_through_composition(self, served, monkeypatch, tmp_path):
-        server, _, _ = served
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
-        store = engine_config.active_store()
-        assert isinstance(store, TieredBackend)
-        assert store.write_through is True
-        assert isinstance(store.shared, RemoteBackend)
-        assert isinstance(store.local, LocalDirBackend)
-
-    def test_remote_client_is_pooled_per_url(self, served, monkeypatch, tmp_path):
-        server, _, _ = served
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
-        first = engine_config.active_store().shared
-        second = engine_config.active_store().shared
-        assert first is second
-
-    def test_shared_dir_and_remote_compose_nested(self, served, monkeypatch, tmp_path):
-        server, _, _ = served
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "local"))
-        monkeypatch.setenv("REPRO_SHARED_CACHE", str(tmp_path / "shared"))
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
-        store = engine_config.active_store()
-        # (local over shared-dir) over remote, write-through outermost.
-        assert isinstance(store.shared, RemoteBackend)
-        assert store.write_through is True
-        inner = store.local
-        assert isinstance(inner, TieredBackend)
-        assert inner.write_through is False
-        assert inner.shared.touch_on_load is False
-
-    def test_no_cache_disables_remote_too(self, served, monkeypatch):
-        server, _, _ = served
-        monkeypatch.setenv("REPRO_REMOTE_CACHE", server.url)
-        engine_config.configure(disk_cache=False)
-        assert engine_config.active_store() is None
-
-    def test_session_remote_url_override(self, served, tmp_path):
-        server, _, root = served
-        session = Session(
-            cache_dir=tmp_path / "local", remote_cache_url=server.url
-        )
-        session.run(RunSpec("ispec06.mcf", "none", 300))
-        # The fresh result was published to the served store.
-        assert LocalDirBackend(root).stats()["results"] == 1
-
-
 class TestTwoMachineSharing:
-    def test_second_machine_is_served_from_the_remote_store(self, served, tmp_path, monkeypatch):
-        """The acceptance demo: machine A computes and publishes; machine B
-        (fresh local dir, same remote) gets every artifact without
-        computing anything."""
-        server, _, _ = served
-        machine_a = Session(
-            cache_dir=tmp_path / "machine-a", remote_cache_url=server.url
-        )
-        spec = RunSpec("ispec06.mcf", "none", 300)
-        origin = machine_a.run(spec)
-
-        from repro.engine import compute
-
-        def _no_compute(*args, **kwargs):
-            raise AssertionError("machine B recomputed instead of loading")
-
-        monkeypatch.setattr(compute, "simulate_run", _no_compute)
-        monkeypatch.setattr(compute, "build_trace_artifact", _no_compute)
-        machine_b = Session(
-            cache_dir=tmp_path / "machine-b", remote_cache_url=server.url
-        )
-        assert machine_b.run(spec).to_dict() == origin.to_dict()
-        # The hit was promoted into machine B's local tier.
-        assert LocalDirBackend(tmp_path / "machine-b").stats()["results"] == 1
-
     def test_remote_backed_session_fans_out_over_the_pool(self, served, tmp_path):
         """RemoteBackend crosses the process-pool boundary: workers pull
         from and publish to the shared server."""
