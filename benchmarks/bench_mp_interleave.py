@@ -13,7 +13,8 @@ order-independent, and measures three legs over identical traces:
    the driver-free cost of executing the ops;
 2. **reference** — the pre-batching per-op heap loop
    (``interleave_reference``);
-3. **batched** — the production driver (``interleave_batched``).
+3. **batched** — the fused driver that schedules object-model mixes
+   (``interleave_batched``).
 
 The gated metric is the **driver overhead** (leg minus floor): the
 batched driver must cut the reference driver's per-op scheduling overhead
@@ -114,7 +115,7 @@ def _measure_rounds(legs, traces, repeats):
     Every round runs all legs back to back, so slow drift of the host
     (frequency scaling, noisy neighbours) hits each leg's sample set
     equally; the per-leg median then discards the outlier rounds.  GC is
-    paused exactly as the production driver pauses it (``_gc_paused`` in
+    paused exactly as a simulation run pauses it (``_gc_paused`` in
     ``repro.cpu.system``), so collector pauses cannot land on one leg.
     Returns ``(times, states)`` — per-leg sample lists and the per-leg
     final-state signature (``None`` for a leg that varied across rounds).

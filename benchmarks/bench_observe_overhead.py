@@ -8,12 +8,12 @@ construction.  This bench pins that claim two ways:
 
 1. **structurally** — ``_make_hierarchy`` with no sink and no pollution
    recording must return the exact plain class (not the subclass);
-2. **empirically** — throughput of a tracing-off ``System.run`` must be
-   within ``--max-overhead`` (default 2%) of a *direct-drive* baseline
-   that hand-builds the plain hierarchy and runs the identical
-   warmup/measure protocol with zero driver plumbing.  Legs alternate
-   within each round so host drift hits both sample sets equally, and
-   the two legs must produce bit-identical results.
+2. **empirically** — throughput of a tracing-off ``System.run`` on the
+   object model must be within ``--max-overhead`` (default 2%) of a
+   *direct-drive* baseline that hand-builds the plain hierarchy and runs
+   the identical warmup/measure protocol with zero driver plumbing.
+   Legs alternate within each round so host drift hits both sample sets
+   equally, and the two legs must produce bit-identical results.
 
 A tracing-on leg is also timed and reported (events to a collecting
 sink) — it is informational only: tracing-on throughput is explicitly
@@ -33,7 +33,13 @@ import sys
 import time
 
 from repro.cpu.core import CoreExecution
-from repro.cpu.system import System, SystemConfig, _make_hierarchy, _result_from
+from repro.cpu.system import (
+    System,
+    SystemConfig,
+    _make_hierarchy,
+    _resolve_kernel,
+    _result_from,
+)
 from repro.engine import TraceSpec, default_session
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -92,7 +98,11 @@ def run_bench(args):
     print("structure        : tracing-off builds the plain MemoryHierarchy")
 
     trace = default_session().trace(TraceSpec(args.workload, args.length))
-    cfg = SystemConfig.single_thread(args.scheme)
+    # The direct-drive floor is the object model, so the tracing-off leg
+    # must run it too: left at "auto" it would resolve to a flat kernel
+    # and the gate would compare two different hot loops.
+    cfg = SystemConfig.single_thread(args.scheme, kernel="object")
+    assert _resolve_kernel(cfg) == "object", _resolve_kernel(cfg)
     traced_cfg = SystemConfig.single_thread(
         args.scheme, trace_prefetch=True, trace_cache=True
     )

@@ -36,7 +36,8 @@ from repro.cpu.trace import FLAG_DEP, FLAG_WRITE
 
 _INF = float("inf")
 #: Largest finite float: ``nextafter(inf, -inf)`` — an always-permissive
-#: horizon threshold for the fused driver's single-comparison stop check.
+#: horizon for ``run_ops`` and for the fused driver's single-comparison
+#: stop check.
 _MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
@@ -159,20 +160,6 @@ class CoreExecution:
         """Memory operations executed so far."""
         return self._pos
 
-    def _retire_floor(self, idx):
-        """Retirement time of instruction ``idx`` (ROB-entry bound)."""
-        if idx <= 0:
-            return 0.0
-        window = self._window
-        while len(window) > 1 and window[1][0] <= idx:
-            window.popleft()
-        if not window or window[0][0] > idx:
-            # Before the first checkpoint retirement is purely
-            # bandwidth-bound.
-            return idx / self._width
-        base_idx, base_time = window[0]
-        return base_time + (idx - base_idx) / self._width
-
     def advance(self):
         """Execute the next memory operation (and its preceding gap).
 
@@ -192,7 +179,9 @@ class CoreExecution:
         idx = instr
         self._instr = instr + 1
 
-        # Inlined _retire_floor(idx - rob_size): the ROB-entry bound.
+        # The ROB-entry bound: retirement time of instruction
+        # ``idx - rob_size``, interpolated between window checkpoints
+        # (purely bandwidth-bound before the first checkpoint).
         rob_idx = idx - self._rob_size
         if rob_idx <= 0:
             enter = idx / width
@@ -232,81 +221,21 @@ class CoreExecution:
     def run_ops(self, max_ops=None):
         """Execute up to ``max_ops`` memory operations (all, if ``None``).
 
-        Semantically identical to calling :meth:`advance` in a loop, but
-        the loop lives inside one frame with every hot attribute bound to
-        a local — for single-core runs (where no other core interleaves)
-        this removes the per-op method-call and attribute-access overhead,
-        which is significant at millions of ops.  Returns the number of
-        ops executed.
+        :meth:`run_ops_until` with a horizon no core can pass; returns the
+        number of ops executed.
         """
-        pos = self._pos
-        n = self._n
-        end = n if max_ops is None else min(n, pos + max_ops)
-        if pos >= end:
-            return 0
-        ops = self._ops
-        width = self._width
-        rob_size = self._rob_size
-        retire_step = self._retire_step
-        access = self._access
-        window = self._window
-        window_append = window.append
-        popleft = window.popleft
-        hits = self._hits
-        retire = self._retire
-        instr = self._instr
-        last_load_done = self._last_load_done
-        start = pos
-        while pos < end:
-            gap, pc, addr, is_write, dep = ops[pos]
-            pos += 1
-            if gap:
-                instr += gap
-                retire += gap / width
-            idx = instr
-            instr += 1
-            rob_idx = idx - rob_size
-            if rob_idx <= 0:
-                enter = idx / width
-            else:
-                while len(window) > 1 and window[1][0] <= rob_idx:
-                    popleft()
-                if not window or window[0][0] > rob_idx:
-                    floor = rob_idx / width
-                else:
-                    base = window[0]
-                    floor = base[1] + (rob_idx - base[0]) / width
-                enter = idx / width
-                if floor > enter:
-                    enter = floor
-            if dep and last_load_done > enter:
-                enter = last_load_done
-            latency, level = access(int(enter), pc, addr, is_write)
-            if is_write:
-                retire += retire_step
-                if enter > retire:
-                    retire = enter
-            else:
-                done = enter + latency
-                retire += retire_step
-                if done > retire:
-                    retire = done
-                last_load_done = done
-            window_append((idx, retire))
-            hits[level] += 1
-        self._pos = pos
-        self._retire = retire
-        self._instr = instr
-        self._last_load_done = last_load_done
-        return pos - start
+        return self.run_ops_until(_MAX_FLOAT, max_ops)
 
     def run_ops_until(self, horizon, max_ops=None, strict=False):
         """Execute memory ops until the retirement time passes ``horizon``.
 
-        The multi-core scheduler's inner batch: the same localized loop as
-        :meth:`run_ops`, but before each op it checks the core's current
-        retirement time against ``horizon`` and stops once the core is no
-        longer the globally minimal one.  With ``strict=False`` the core
+        The scheduler's inner batch and the core's one batch loop:
+        semantically identical to calling :meth:`advance` in a loop, but
+        the loop lives inside one frame with every hot attribute bound to
+        a local, which removes the per-op method-call and attribute-access
+        overhead.  Before each op it checks the core's current retirement
+        time against ``horizon`` and stops once the core is no longer the
+        globally minimal one.  With ``strict=False`` the core
         keeps running while ``time <= horizon``; with ``strict=True`` it
         stops at ``time >= horizon`` — the caller sets ``strict`` when the
         competing core wins ties (smaller core index), so the interleave
@@ -432,18 +361,19 @@ class CoreExecution:
 # - ``interleave_reference`` is the pre-batching per-op heap loop, kept as
 #   the executable specification and the bench baseline;
 # - ``interleave_two_level`` is the readable form of the batched scheduler:
-#   pop the minimum-time core, drive it through ``run_ops_until``;
-# - ``interleave_batched`` is the shipped hot path: the same two-level
-#   schedule with the op body and the (tiny) schedule inlined into one
-#   frame, eliminating the per-op method dispatch and heap traffic.
+#   pop the minimum-time core, drive it through ``run_ops_until``.  It
+#   drives single-core runs and every flat-kernel run;
+# - ``interleave_batched`` is the same two-level schedule with the op body
+#   and the (tiny) schedule inlined into one frame, eliminating the per-op
+#   method dispatch and heap traffic.  It drives object-model mixes.
 #
 # ``stop_ops``/``on_stop`` implement warmup boundaries: ``on_stop(idx)``
 # fires exactly once per core, at the moment core ``idx`` has executed
 # ``stop_ops[idx]`` ops — *before* any further op executes, and immediately
-# (before the first op) when the checkpoint is already met at entry, so a
-# zero-op warmup behaves like the single-core path.  The callback may
-# inspect ``executions[idx]`` (its ``time``/``ops``/stats); other cores'
-# state is undefined while the drivers run.
+# (before the first op) when the checkpoint is already met at entry, as a
+# zero-op warmup's is.  The callback may inspect ``executions[idx]`` (its
+# ``time``/``ops``/stats); other cores' state is undefined while the
+# drivers run.
 
 
 def _fire_met_checkpoints(executions, stop_ops, on_stop):
@@ -466,8 +396,8 @@ def interleave_reference(executions, stop_ops=None, on_stop=None):
 
     Advances whichever core has the smallest ``(time, index)`` by exactly
     one op per heap pop.  Kept for the parity tests and as the baseline leg
-    of ``benchmarks/bench_mp_interleave.py``; production runs go through
-    :func:`interleave_batched`.
+    of ``benchmarks/bench_mp_interleave.py``; simulations go through
+    :func:`interleave_two_level` or :func:`interleave_batched`.
     """
     pending = _fire_met_checkpoints(executions, stop_ops, on_stop)
     heap = [(ex.time, idx) for idx, ex in enumerate(executions) if not ex.done]
@@ -519,20 +449,20 @@ def interleave_two_level(executions, stop_ops=None, on_stop=None):
 
 
 def interleave_batched(executions, stop_ops=None, on_stop=None):
-    """Fused batched interleave: the production multi-core driver.
+    """Fused batched interleave: the object-model multi-core driver.
 
     Semantically identical to :func:`interleave_two_level` (and therefore
     to :func:`interleave_reference`), with the schedule and the op body
     held in one frame: per-core hot state lives in parallel lists, the
     schedule is a sorted list of at most ``len(executions)`` entries with
-    inline insertion, and each batch runs the :meth:`CoreExecution.run_ops`
-    loop body directly.  This removes the per-op heap push/pop and method
+    inline insertion, and each batch runs the
+    :meth:`CoreExecution.run_ops_until` loop body directly.  This removes the per-op heap push/pop and method
     dispatch the reference driver pays, which is the entire cost the MP
-    driver adds over raw single-core ``run_ops`` execution (the memory
+    driver adds over raw single-core ``run_ops_until`` execution (the memory
     hierarchy dominates everything else; see docs/engine.md).
 
     Couples to ``CoreExecution``'s slots by design, exactly like
-    ``run_ops`` couples to ``advance`` — the parity tests pin all three
+    ``run_ops_until`` couples to ``advance`` — the parity tests pin all three
     loops to agree bit-for-bit.
     """
     pending = _fire_met_checkpoints(executions, stop_ops, on_stop)

@@ -6,13 +6,14 @@ Mirrors the paper's two configurations (Section 4):
 - **MP** — four cores, private L1/L2 per core, shared 8MB LLC, two DDR4
   channels (same LLC capacity per core, half the bandwidth per core).
 
-The multi-core driver interleaves per-core executions in global time order
-(always advancing the core with the smallest retirement time) so cores
-contend realistically for the shared LLC and DRAM — which is what makes
-the accuracy-biased pattern matter in Section 5.4.  Scheduling runs
-through the batched interleave driver
-(:func:`repro.cpu.core.interleave_batched`); see docs/engine.md for the
-design and the parity/performance story.
+Both sizes run through one body (``_run_cores``): a single-core run is a
+one-core mix.  The cores advance in global time order (always the core
+with the smallest retirement time) so they contend realistically for the
+shared LLC and DRAM — which is what makes the accuracy-biased pattern
+matter in Section 5.4.  Flat-kernel runs and single-core runs are
+scheduled by :func:`repro.cpu.core.interleave_two_level`; object-model
+mixes by its fused form :func:`repro.cpu.core.interleave_batched`.  See
+docs/engine.md for the design and the parity/performance story.
 """
 
 import gc
@@ -335,8 +336,110 @@ def _result_from(execution, hierarchy, dram):
     )
 
 
+def _run_cores(cfg, traces, sink, tag_cores):
+    """Run one trace per core on one machine.
+
+    The single body behind :meth:`System.run` (one core) and
+    :meth:`MultiCoreSystem.run` (N cores sharing the LLC and DRAM).
+    Returns the per-core :class:`RunResult` list and the global-time span
+    of the measured region (see :attr:`MultiProgramResult.global_cycles`).
+
+    The object model and the flat kernels differ in three places only:
+    packing the built objects into kernel form, the warmup-boundary reset
+    (the live counters sit in the working form during a kernel run), and
+    the write-back before results are assembled — so everything
+    downstream of the hot loop (stats assembly, training drain, post-run
+    inspection) reads the very objects it always read.
+    """
+    kind = _resolve_kernel(cfg)
+    flat = kind != "object"
+    if flat:
+        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
+    dram = DramModel(cfg.dram)
+    shared_llc = Cache(cfg.hierarchy.llc)
+    domain = KernelDomain(shared_llc, dram, kind) if flat else None
+    sink = _resolve_sink(cfg, sink)
+    cores = []
+    executions = []
+    bandwidths = []
+    for core_idx, trace in enumerate(traces):
+        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
+        if flat:
+            # Bandwidth-aware schemes must read the *live* monitor, which
+            # lives in the kernel working form while the run is active.
+            bandwidth = KernelBandwidth(dram)
+            bandwidth.attach(domain)
+            bandwidths.append(bandwidth)
+        else:
+            bandwidth = dram
+        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
+        core_sink = sink
+        if sink is not None and tag_cores:
+            core_sink = CoreScopedSink(sink, core_idx)
+        hierarchy = _make_hierarchy(cfg, dram, shared_llc, l1_pf, l2_pf, core_sink)
+        core = CoreExecution(cfg.core, trace, hierarchy)
+        cores.append(core)
+        executions.append(KernelExecution(core, trace, domain) if flat else core)
+
+    # Each core crosses its own warmup boundary after warmup_frac of its
+    # trace — before the first op when the warmup is zero ops; shared
+    # DRAM stats reset when the first core crosses (per-core results use
+    # private hierarchy counters, so the shared reset point is not
+    # critical).
+    warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
+    stats_reset_time = None
+
+    def _cross_warmup(idx):
+        nonlocal stats_reset_time
+        ex = executions[idx]
+        ex.mark_stats_start()
+        if flat:
+            ex.reset_hierarchy_stats()
+        else:
+            cores[idx].hierarchy.reset_stats()
+        if stats_reset_time is None:
+            stats_reset_time = ex.time
+            if flat:
+                ex.reset_dram_stats(ex.time)
+            else:
+                dram.reset_stats(ex.time)
+
+    # One core yields two batches under either driver, so the fused
+    # driver only pays off on object-model mixes; the flat kernels are
+    # sliced through the readable run_ops_until form.
+    if flat or len(executions) == 1:
+        driver = interleave_two_level
+    else:
+        driver = interleave_batched
+    with _gc_paused():
+        driver(executions, warmup_ops, _cross_warmup)
+
+    if flat:
+        # The per-core objects are locals here and results read only
+        # counters, so skip rebuilding cache contents.
+        for ex in executions:
+            ex.write_back(contents=False)
+        domain.write_back(contents=False)
+        for bandwidth in bandwidths:
+            bandwidth.release()
+    per_core = [_result_from(core, core.hierarchy, dram) for core in cores]
+    # End-of-run training drain (after stats capture: the drain's
+    # bandwidth-bucket queries at the final cycle must not perturb the
+    # reported residency).  Pages still resident in e.g. DSPatch's PB
+    # learn under the run-final bucket, leaving the prefetcher state
+    # consistent for post-run inspection.
+    for core in cores:
+        l2_pf = core.hierarchy.l2_prefetcher
+        if l2_pf is not None:
+            flush_training_with_cycle(l2_pf, int(core.time))
+    end_time = max((core.time for core in cores), default=0.0)
+    if stats_reset_time is None:
+        stats_reset_time = 0.0
+    return per_core, max(end_time - stats_reset_time, 0.0)
+
+
 class System:
-    """Single-core trace-driven simulation.
+    """Single-core trace-driven simulation: a one-core mix.
 
     ``sink`` receives trace events when the config enables
     ``trace_prefetch``/``trace_cache`` (stderr lines when omitted); it is
@@ -350,78 +453,8 @@ class System:
 
     def run(self, trace):
         """Simulate ``trace`` end to end; returns a :class:`RunResult`."""
-        cfg = self.config
-        kind = _resolve_kernel(cfg)
-        if kind != "object":
-            return self._run_kernel(trace, kind)
-        dram = DramModel(cfg.dram)
-        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-        l2_pf = build_prefetcher(cfg.l2_prefetcher, dram)
-        sink = _resolve_sink(cfg, self.sink)
-        hierarchy = _make_hierarchy(cfg, dram, None, l1_pf, l2_pf, sink)
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        warmup_ops = int(len(trace) * cfg.warmup_frac)
-        with _gc_paused():
-            execution.run_ops(warmup_ops)
-            execution.mark_stats_start()
-            hierarchy.reset_stats()
-            dram.reset_stats(execution.time)
-            execution.run_ops()
-        result = _result_from(execution, hierarchy, dram)
-        # End-of-run training drain (after stats capture: the drain's
-        # bandwidth-bucket queries at the final cycle must not perturb the
-        # reported residency).  Pages still resident in e.g. DSPatch's PB
-        # learn under the run-final bucket, leaving the prefetcher state
-        # consistent for post-run inspection.
-        if l2_pf is not None:
-            flush_training_with_cycle(l2_pf, int(execution.time))
-        return result
-
-    def _run_kernel(self, trace, kind):
-        """The same run over a flat kernel (bit-identical; see repro.kernel).
-
-        The object model is built exactly as the object path builds it,
-        packed into flat state, driven by the selected kernel, and written
-        back before results are assembled — so everything downstream of
-        the hot loop (stats assembly, training drain, post-run inspection)
-        reads the very objects it always read.
-        """
-        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
-
-        cfg = self.config
-        dram = DramModel(cfg.dram)
-        # Bandwidth-aware schemes must read the *live* monitor, which lives
-        # in the kernel working form while the run is active.
-        bandwidth = KernelBandwidth(dram)
-        l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-        l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-        hierarchy = MemoryHierarchy(
-            config=cfg.hierarchy,
-            dram=dram,
-            llc=None,
-            l1_prefetcher=l1_pf,
-            l2_prefetcher=l2_pf,
-        )
-        execution = CoreExecution(cfg.core, trace, hierarchy)
-        domain = KernelDomain(hierarchy.llc, dram, kind)
-        bandwidth.attach(domain)
-        kex = KernelExecution(execution, trace, domain)
-        warmup_ops = int(len(trace) * cfg.warmup_frac)
-        with _gc_paused():
-            kex.run_ops(warmup_ops)
-            kex.mark_stats_start()
-            kex.reset_hierarchy_stats()
-            kex.reset_dram_stats(kex.time)
-            kex.run_ops()
-        # The hierarchy/execution objects are locals of this method and the
-        # result reads only counters, so skip rebuilding cache contents.
-        kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        bandwidth.release()
-        result = _result_from(execution, hierarchy, dram)
-        if l2_pf is not None:
-            flush_training_with_cycle(l2_pf, int(execution.time))
-        return result
+        per_core, _ = _run_cores(self.config, [trace], self.sink, tag_cores=False)
+        return per_core[0]
 
 
 @dataclass
@@ -438,16 +471,6 @@ class MultiProgramResult:
     #: DRAM bandwidth should be divided by).
     global_cycles: float
 
-    @property
-    def total_cycles(self):
-        """Deprecated alias for :attr:`global_cycles`.
-
-        The pre-batching driver reported ``max(core.cycles)``, which mixed
-        per-core measured-region spans starting at different warmup
-        boundaries; the field now aliases the consistent global span.
-        """
-        return self.global_cycles
-
     def weighted_speedup(self, alone_ipcs):
         """Sum of per-core IPC over the same workload's alone-IPC."""
         if len(alone_ipcs) != len(self.per_core):
@@ -459,7 +482,10 @@ class MultiProgramResult:
 
 
 class MultiCoreSystem:
-    """Four (or N) cores sharing an LLC and DRAM."""
+    """Four (or N) cores sharing an LLC and DRAM.
+
+    Trace events are tagged with the emitting core's index.
+    """
 
     def __init__(self, config: SystemConfig = None, num_cores=4, sink=None):
         self.config = config or SystemConfig.multi_programmed()
@@ -470,121 +496,5 @@ class MultiCoreSystem:
         """Simulate one trace per core; returns :class:`MultiProgramResult`."""
         if len(traces) != self.num_cores:
             raise ValueError(f"need exactly {self.num_cores} traces")
-        cfg = self.config
-        kind = _resolve_kernel(cfg)
-        if kind != "object":
-            return self._run_kernel(traces, kind)
-        dram = DramModel(cfg.dram)
-        shared_llc = Cache(cfg.hierarchy.llc)
-        sink = _resolve_sink(cfg, self.sink)
-        executions = []
-        hierarchies = []
-        for core_idx, trace in enumerate(traces):
-            l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-            l2_pf = build_prefetcher(cfg.l2_prefetcher, dram)
-            core_sink = None if sink is None else CoreScopedSink(sink, core_idx)
-            hierarchy = _make_hierarchy(cfg, dram, shared_llc, l1_pf, l2_pf, core_sink)
-            hierarchies.append(hierarchy)
-            executions.append(CoreExecution(cfg.core, trace, hierarchy))
-
-        # Advance cores in global time order through the batched interleave
-        # driver.  Each core crosses its own warmup boundary after
-        # warmup_frac of its trace — including *before the first op* when
-        # the warmup is zero ops, matching the single-core path; shared
-        # DRAM stats reset when the first core crosses (per-core results
-        # use private hierarchy counters, so the shared reset point is not
-        # critical).
-        warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
-        stats_reset_time = None
-
-        def _cross_warmup(idx):
-            nonlocal stats_reset_time
-            ex = executions[idx]
-            ex.mark_stats_start()
-            hierarchies[idx].reset_stats()
-            if stats_reset_time is None:
-                stats_reset_time = ex.time
-                dram.reset_stats(ex.time)
-
-        with _gc_paused():
-            interleave_batched(executions, warmup_ops, _cross_warmup)
-
-        per_core = [
-            _result_from(ex, hier, dram) for ex, hier in zip(executions, hierarchies)
-        ]
-        # End-of-run training drain, after stats capture (see System.run).
-        for ex, hier in zip(executions, hierarchies):
-            if hier.l2_prefetcher is not None:
-                flush_training_with_cycle(hier.l2_prefetcher, int(ex.time))
-        end_time = max((ex.time for ex in executions), default=0.0)
-        if stats_reset_time is None:
-            stats_reset_time = 0.0
-        global_cycles = max(end_time - stats_reset_time, 0.0)
-        return MultiProgramResult(per_core=per_core, global_cycles=global_cycles)
-
-    def _run_kernel(self, traces, kind):
-        """The same mix over flat kernels, scheduled by the public-API
-        batched driver (:func:`interleave_two_level` — parity-pinned
-        against :func:`interleave_batched`); bit-identical to the object
-        path.
-        """
-        from repro.kernel.execution import KernelBandwidth, KernelDomain, KernelExecution
-
-        cfg = self.config
-        dram = DramModel(cfg.dram)
-        shared_llc = Cache(cfg.hierarchy.llc)
-        domain = KernelDomain(shared_llc, dram, kind)
-        kernel_execs = []
-        hierarchies = []
-        bandwidths = []
-        for trace in traces:
-            l1_pf = PcStridePrefetcher() if cfg.l1_stride else None
-            bandwidth = KernelBandwidth(dram)
-            bandwidth.attach(domain)
-            bandwidths.append(bandwidth)
-            l2_pf = build_prefetcher(cfg.l2_prefetcher, bandwidth)
-            hierarchy = MemoryHierarchy(
-                config=cfg.hierarchy,
-                dram=dram,
-                llc=shared_llc,
-                l1_prefetcher=l1_pf,
-                l2_prefetcher=l2_pf,
-            )
-            hierarchies.append(hierarchy)
-            execution = CoreExecution(cfg.core, trace, hierarchy)
-            kernel_execs.append(KernelExecution(execution, trace, domain))
-
-        warmup_ops = [int(len(trace) * cfg.warmup_frac) for trace in traces]
-        stats_reset_time = None
-
-        def _cross_warmup(idx):
-            nonlocal stats_reset_time
-            kex = kernel_execs[idx]
-            kex.mark_stats_start()
-            kex.reset_hierarchy_stats()
-            if stats_reset_time is None:
-                stats_reset_time = kex.time
-                kex.reset_dram_stats(kex.time)
-
-        with _gc_paused():
-            interleave_two_level(kernel_execs, warmup_ops, _cross_warmup)
-
-        # Per-core objects are locals here and results read only counters,
-        # so skip rebuilding cache contents.
-        for kex in kernel_execs:
-            kex.write_back(contents=False)
-        domain.write_back(contents=False)
-        for bandwidth in bandwidths:
-            bandwidth.release()
-        per_core = [
-            _result_from(kex.execution, hier, dram)
-            for kex, hier in zip(kernel_execs, hierarchies)
-        ]
-        for kex, hier in zip(kernel_execs, hierarchies):
-            if hier.l2_prefetcher is not None:
-                flush_training_with_cycle(hier.l2_prefetcher, int(kex.time))
-        end_time = max((kex.time for kex in kernel_execs), default=0.0)
-        if stats_reset_time is None:
-            stats_reset_time = 0.0
-        global_cycles = max(end_time - stats_reset_time, 0.0)
+        per_core, global_cycles = _run_cores(self.config, traces, self.sink, tag_cores=True)
         return MultiProgramResult(per_core=per_core, global_cycles=global_cycles)

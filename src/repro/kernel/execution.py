@@ -9,9 +9,10 @@ surface of :class:`repro.cpu.core.CoreExecution` (``run_ops``,
 writes everything back into the objects at the end so result assembly,
 ``flush_training`` and post-run inspection are unchanged.
 
-Multi-programmed runs share one :class:`KernelDomain` (the LLC + DRAM +
-bandwidth-monitor working state) across all cores and are scheduled by the
-existing public-API driver :func:`repro.cpu.core.interleave_two_level`.
+Every run shares one :class:`KernelDomain` (the LLC + DRAM +
+bandwidth-monitor working state) across its cores — one core for a
+single-core run — and is scheduled by the public-API driver
+:func:`repro.cpu.core.interleave_two_level`.
 """
 
 import math

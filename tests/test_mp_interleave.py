@@ -1,8 +1,8 @@
 """Tests for the batched multi-core interleave driver and its bugfixes.
 
-Pins three things:
+Pins four things:
 
-1. **Driver parity** — ``interleave_batched`` (the production driver),
+1. **Driver parity** — ``interleave_batched`` (the object-model mix driver),
    ``interleave_two_level`` (its readable ``run_ops_until`` form) and
    ``interleave_reference`` (the pre-batching per-op heap loop) produce
    bit-identical results on real 4-core mixes, including warmup
@@ -13,6 +13,9 @@ Pins three things:
 3. **The satellite bugfixes** — ``DSPatch.flush_training`` learns under
    the run-final bandwidth bucket, and ``MultiProgramResult`` reports a
    consistent global-time span.
+4. **One run body** — a single-core ``System`` run equals a one-core
+   ``MultiCoreSystem`` mix under every kernel, and only mixes tag trace
+   events with their core index.
 """
 
 import pytest
@@ -26,9 +29,11 @@ from repro.cpu.core import (
     interleave_two_level,
 )
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig, _result_from
+from repro.kernel import kernel_available
 from repro.memory.cache import Cache
 from repro.memory.dram import DramModel, FixedBandwidth
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.observe.sinks import CollectingSink
 from repro.prefetchers.registry import build_prefetcher
 from repro.prefetchers.stride import PcStridePrefetcher
 from repro.workloads.catalog import build_trace
@@ -299,7 +304,57 @@ class TestGlobalCycles:
         for core in result.per_core:
             assert core.cycles <= result.global_cycles + 1e-9
 
-    def test_total_cycles_is_compat_alias(self):
-        traces = build_mix_traces(["ispec06.mcf"] * 4, 300)
-        result = MultiCoreSystem(SystemConfig.multi_programmed("none")).run(traces)
-        assert result.total_cycles == result.global_cycles
+
+def _kernels():
+    return ["object", "py"] + (["compiled"] if kernel_available() else [])
+
+
+class TestSharedRunBody:
+    """System and MultiCoreSystem run through one body."""
+
+    @pytest.mark.parametrize("kernel", _kernels())
+    @pytest.mark.parametrize("warmup_frac", [0.25, 0.0])
+    def test_single_core_is_a_one_core_mix(self, kernel, warmup_frac):
+        trace = build_trace("ispec06.mcf", 1500)
+        cfg = SystemConfig.single_thread(
+            "spp+dspatch", kernel=kernel, warmup_frac=warmup_frac
+        )
+        alone = System(cfg).run(trace)
+        mix = MultiCoreSystem(cfg, num_cores=1).run([trace])
+        assert alone.to_dict() == mix.per_core[0].to_dict()
+
+    def test_single_core_is_a_one_core_mix_with_pollution(self):
+        trace = build_trace("hpc.npb-ft", 1500)
+        cfg = SystemConfig.single_thread(
+            "dspatch", kernel="object", record_pollution_victims=True
+        )
+        alone = System(cfg).run(trace)
+        mixed = MultiCoreSystem(cfg, num_cores=1).run([trace]).per_core[0]
+        assert alone.to_dict() == mixed.to_dict()
+        assert alone.demand_log, "pollution recording produced no demand log"
+        for log in ("pollution_events", "demand_log", "prefetch_fill_log"):
+            assert getattr(alone, log) == getattr(mixed, log), log
+
+    def test_traced_mix_tags_every_event_with_its_core(self):
+        traces = build_mix_traces(["ispec06.mcf", "hpc.npb-bt"], 1000)
+        cfg = SystemConfig.multi_programmed("dspatch")
+        traced_cfg = SystemConfig.multi_programmed(
+            "dspatch", trace_prefetch=True, kernel="object"
+        )
+        sink = CollectingSink()
+        traced = MultiCoreSystem(traced_cfg, num_cores=2, sink=sink).run(traces)
+        assert sink.events
+        assert set(sink.cores) == {0, 1}
+        plain = MultiCoreSystem(cfg, num_cores=2).run(traces)
+        assert [r.to_dict() for r in traced.per_core] == [
+            r.to_dict() for r in plain.per_core
+        ]
+        assert traced.global_cycles == plain.global_cycles
+
+    def test_traced_single_core_leaves_events_untagged(self):
+        trace = build_trace("ispec06.mcf", 1000)
+        cfg = SystemConfig.single_thread("dspatch", trace_prefetch=True, kernel="object")
+        sink = CollectingSink()
+        System(cfg, sink=sink).run(trace)
+        assert sink.events
+        assert all(core is None for core in sink.cores)
