@@ -12,7 +12,11 @@ comparison: 6 schemes x N workloads) under several regimes:
    C-twinned schemes (spp / dspatch / spp+dspatch) on one longer trace
    where training dominates, asserts bit-identity against the object
    model, and gates the twins' advantage with its own
-   ``--min-scheme-kernel-speedup`` floor;
+   ``--min-scheme-kernel-speedup`` floor, and a **multi-core leg** times
+   one seed-1 ``heterogeneous_mixes`` 4-core ``dspatch`` mix
+   (``--trace-len`` ops per core) under the object model and the compiled
+   kernel, asserts bit-identity and holds ``mix_kernel_speedup`` to the
+   ``--min-kernel-speedup`` floor;
 2. **cold parallel** — empty disk cache, ``jobs=N``: the engine's
    process-pool fan-out (runs when ``--jobs`` > 1 is given explicitly,
    or by default on multicore hosts);
@@ -160,6 +164,36 @@ def run_bench(args):
         scheme_identical = scheme_results["object"] == scheme_results["compiled"]
         scheme_speedup = scheme_seconds["object"] / scheme_seconds["compiled"]
 
+    # --- 1c. multi-core leg (the compiled scheduler vs the object mix) ----
+    # A shared-LLC mix is where the compiled kernel schedules its own
+    # slices; the fig12 grid above is single-core only.
+    mix_seconds = {"object": None, "compiled": None}
+    mix_speedup = None
+    mix_identical = True
+    if headline_kernel == "compiled":
+        from repro.cpu.system import MultiCoreSystem, SystemConfig
+        from repro.workloads.mixes import build_mix_traces, heterogeneous_mixes
+
+        (_, mix_workloads), = heterogeneous_mixes(count=1, seed=1)
+        mix_traces = build_mix_traces(mix_workloads, args.trace_len)
+        mix_results = {}
+        for kind in ("object", "compiled"):
+            cfg = SystemConfig.multi_programmed("dspatch", kernel=kind)
+            best = None
+            for _ in range(args.repeats):
+                t0 = time.perf_counter()
+                mp = MultiCoreSystem(cfg).run(mix_traces)
+                dt = time.perf_counter() - t0
+                mix_results[kind] = (
+                    [core.to_dict() for core in mp.per_core],
+                    mp.global_cycles,
+                )
+                if best is None or dt < best:
+                    best = dt
+            mix_seconds[kind] = best
+        mix_identical = mix_results["object"] == mix_results["compiled"]
+        mix_speedup = mix_seconds["object"] / mix_seconds["compiled"]
+
     # --- 2. cold parallel (explicit --jobs > 1, or multicore hosts) -------
     t_cold_par = None
     rows_par = None
@@ -211,6 +245,9 @@ def run_bench(args):
         "scheme_object_seconds": scheme_seconds["object"],
         "scheme_compiled_seconds": scheme_seconds["compiled"],
         "scheme_kernel_speedup": scheme_speedup,
+        "mix_object_seconds": mix_seconds["object"],
+        "mix_compiled_seconds": mix_seconds["compiled"],
+        "mix_kernel_speedup": mix_speedup,
         "hot_path_score": hot_path_score,
         "kernel_py_score": kernel_py_score,
         "kernel_speedup": kernel_speedup,
@@ -232,6 +269,13 @@ def run_bench(args):
         failures.append(
             f"scheme-training speedup {scheme_speedup:.2f}x over the object "
             f"model is below the {args.min_scheme_kernel_speedup:.1f}x floor"
+        )
+    if not mix_identical:
+        failures.append("multi-core leg: compiled mix diverges from the object model")
+    if mix_speedup is not None and mix_speedup < args.min_kernel_speedup:
+        failures.append(
+            f"multi-core speedup {mix_speedup:.2f}x over the object model is "
+            f"below the {args.min_kernel_speedup:.1f}x floor"
         )
 
     if args.baseline and os.path.exists(args.baseline):
@@ -346,6 +390,12 @@ def run_bench(args):
             f"{scheme_seconds['object']:.2f}s object  ({scheme_speedup:.2f}x, "
             f"{args.scheme_trace_len} ops x 3 schemes)"
         )
+    if mix_speedup is not None:
+        print(
+            f"4-core mix      : {mix_seconds['compiled']:8.2f}s vs "
+            f"{mix_seconds['object']:.2f}s object  ({mix_speedup:.2f}x, "
+            f"{args.trace_len} ops x 4 cores, dspatch)"
+        )
     if t_cold_par is not None:
         print(f"cold parallel   : {t_cold_par:8.2f}s  ({parallel_speedup:.2f}x, jobs={jobs})")
     print(f"warm (disk)     : {t_warm:8.3f}s  ({warm_speedup:.0f}x)")
@@ -379,8 +429,9 @@ def main(argv=None):
         "--min-kernel-speedup",
         type=float,
         default=2.0,
-        help="floor on the compiled kernel's speedup over the object model "
-        "(applies only when a C toolchain is present)",
+        help="floor on the compiled kernel's speedup over the object model, "
+        "on the fig12 grid and on the 4-core mix (applies only when a C "
+        "toolchain is present)",
     )
     parser.add_argument(
         "--scheme-trace-len",

@@ -36,8 +36,8 @@ from repro.cpu.trace import FLAG_DEP, FLAG_WRITE
 
 _INF = float("inf")
 #: Largest finite float: ``nextafter(inf, -inf)`` — an always-permissive
-#: horizon for ``run_ops`` and for the fused driver's single-comparison
-#: stop check.
+#: horizon for ``run_ops`` (here and in the flat kernels' execution) and
+#: for the fused driver's single-comparison stop check.
 _MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 

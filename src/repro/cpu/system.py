@@ -10,9 +10,12 @@ Both sizes run through one body (``_run_cores``): a single-core run is a
 one-core mix.  The cores advance in global time order (always the core
 with the smallest retirement time) so they contend realistically for the
 shared LLC and DRAM — which is what makes the accuracy-biased pattern
-matter in Section 5.4.  Flat-kernel runs and single-core runs are
-scheduled by :func:`repro.cpu.core.interleave_two_level`; object-model
-mixes by its fused form :func:`repro.cpu.core.interleave_batched`.  See
+matter in Section 5.4.  Single-core object-model runs and py-kernel
+runs are scheduled by :func:`repro.cpu.core.interleave_two_level`,
+object-model mixes by its fused form
+:func:`repro.cpu.core.interleave_batched`, and compiled-kernel runs by
+the same schedule inside the C kernel
+(:meth:`repro.kernel.execution.KernelDomain.interleave`).  See
 docs/engine.md for the design and the parity/performance story.
 """
 
@@ -404,10 +407,12 @@ def _run_cores(cfg, traces, sink, tag_cores):
             else:
                 dram.reset_stats(ex.time)
 
-    # One core yields two batches under either driver, so the fused
-    # driver only pays off on object-model mixes; the flat kernels are
-    # sliced through the readable run_ops_until form.
-    if flat or len(executions) == 1:
+    # The flat kernels schedule through their domain (the compiled one
+    # inside C).  One core yields two batches under either object driver,
+    # so the fused driver only pays off on object-model mixes.
+    if flat:
+        driver = domain.interleave
+    elif len(executions) == 1:
         driver = interleave_two_level
     else:
         driver = interleave_batched

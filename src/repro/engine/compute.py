@@ -53,10 +53,11 @@ def simulate_run(spec, trace):
 def simulate_mix(spec):
     """One multi-programmed run of the mix ``spec`` describes.
 
-    Executes through :class:`MultiCoreSystem`: on the flat kernels the
-    cores are scheduled by ``repro.cpu.core.interleave_two_level``, on the
-    object model by its fused form ``interleave_batched`` (bit-identical).
-    The engine's code-version salt covers ``cpu/``, so a driver change
+    Executes through :class:`MultiCoreSystem`: on the compiled kernel the
+    cores are scheduled inside C (``ksched``), on the py kernel by
+    ``repro.cpu.core.interleave_two_level``, on the object model by its
+    fused form ``interleave_batched`` (all bit-identical).  The engine's
+    code-version salt covers ``cpu/`` and ``kernel/``, so a driver change
     invalidates previously cached mix results automatically.
     """
     from repro.workloads.mixes import build_mix_traces

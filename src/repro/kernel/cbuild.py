@@ -3,22 +3,35 @@
 The C source from :mod:`repro.kernel.cgen` is compiled once per source
 digest into a shared library under ``<cache_dir>/ckernel/`` (atomic
 rename, so concurrent workers race benignly) and loaded with ctypes.
-``CShared``/``CRuntime`` present the exact driver surface of
-``PyShared``/``PyRuntime`` — :class:`repro.kernel.execution.KernelExecution`
-does not know which twin it is holding.
+``CShared``/``CRuntime`` mirror ``PyShared``/``PyRuntime`` (state
+access, snapshots, warmup-boundary resets) for
+:class:`repro.kernel.execution.KernelExecution`; what they lack is a
+per-batch entry, because the compiled kernel schedules its own batches.
 
-The crossing protocol: ``krun`` returns ``RC_TRAIN`` with one or more
-training records (cycle, pc, addr, hit) appended to ``train_buf``; the
-driver first drains the queued usefulness notes (keeping every
-scheme-visible event in object-path order), then feeds the records to
-``scheme.train`` in arrival order, writes the *last* record's candidates
-into the ``cand_line``/``cand_lp`` arrays (grown on demand), and
-re-enters ``krun``, which resumes mid-op from the saved context.  The
-kernel may batch a record only when its candidates are not consumed by
-its own access — every current scheme's candidates are, so the kernel
-flushes at depth 1; the record-buffer ABI is what lets a future
-fire-and-forget scheme amortize the boundary.  Schemes with a compiled
-twin (``scheme_kind`` > 0) never cross at all.
+Every compiled run is one call sequence into ``ksched``, the C form of
+``interleave_two_level`` (see :mod:`repro.kernel.cgen`), driven by
+:func:`interleave`.  ``ksched`` returns to Python only for work that
+must happen there, in object-path order:
+
+- ``RC_TRAIN`` — a core's ``krun`` batch appended one or more training
+  records (cycle, pc, addr, hit) to ``train_buf``.  The driver first
+  drains the core's queued usefulness notes (keeping every
+  scheme-visible event in object-path order), then feeds the records to
+  ``scheme.train`` in arrival order, writes the *last* record's
+  candidates into the ``cand_line``/``cand_lp`` arrays (grown on
+  demand) and re-enters; ``ksched`` resumes that core mid-op from the
+  saved context before it schedules anything else.  The kernel may
+  batch a record only when its candidates are not consumed by its own
+  access — every current scheme's candidates are, so the kernel flushes
+  at depth 1; the record-buffer ABI is what lets a future
+  fire-and-forget scheme amortize the boundary.
+- ``RC_YIELD`` — a core's batch ended with notes queued or at its
+  warmup target: the driver drains the notes, then fires the warmup
+  boundary callback.
+- ``RC_DONE`` — every core is done.
+
+Schemes with a compiled twin (``scheme_kind`` > 0) never cross at all,
+so a compiled-twin mix enters C once per warmup boundary plus once.
 
 The build cache under ``<cache_dir>/ckernel/`` is keyed by a digest of
 the emitted C *and* the generator source, the compile flags and the
@@ -158,8 +171,8 @@ def load_kernel():
                 os.unlink(c_path)
     try:
         lib = ctypes.CDLL(str(so_path))
-        lib.krun.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
-        lib.krun.restype = ctypes.c_long
+        lib.ksched.argtypes = [ctypes.c_void_p]
+        lib.ksched.restype = ctypes.c_long
         lib.kbucket.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]
         lib.kbucket.restype = ctypes.c_long
     except (OSError, AttributeError) as exc:
@@ -227,27 +240,28 @@ _LLC_RESET_SLOTS = tuple(
 
 
 class CRuntime:
-    """One core's compiled kernel: drives ``krun`` and the crossings."""
+    """One core's compiled kernel: its pointer table and crossings."""
 
     def __init__(self, state, shared, train=None, note_useful=None, note_useless=None):
         self.state = state
         self.shared = shared
-        self._lib = load_kernel()
         self._ci = state.ci64
         self._cf = state.cf64
         has_l2pf = bool(self._ci[CI64["has_l2pf"]])
         self._train = train if has_l2pf else None
         self._note_useful = note_useful if has_l2pf else None
         self._note_useless = note_useless if has_l2pf else None
+        # One table for the runtime's life: a buffer regrowth rewrites its
+        # entries in place, so a scheduler holding its address sees them.
+        self.table = (ctypes.c_void_p * len(layout.PTR_NAMES))()
         self._rebuild_table()
 
     def _rebuild_table(self):
         amap = self.state.array_map()
         self._arrays = amap  # hold references; the C side keeps raw pointers
-        tbl = (ctypes.c_void_p * len(layout.PTR_NAMES))()
+        tbl = self.table
         for name, i in PTR.items():
             tbl[i] = amap[name].ctypes.data
-        self._tbl = tbl
         # memoryviews return plain Python ints, bypassing numpy's boxed
         # scalars in the per-crossing hot loop; rebuilt here because the
         # candidate/note buffers can be reallocated on growth.
@@ -283,41 +297,7 @@ class CRuntime:
             ),
         )
 
-    # ---------------------------------------------------------------- driving
-
-    def run(self, end, horizon, strict):
-        ci = self._ci
-        mci = self._mci
-        start = mci[CI64["pos"]]
-        ci[CI64["end"]] = int(end)
-        ci[CI64["strict"]] = 1 if strict else 0
-        self._cf[CF64["horizon"]] = horizon
-        krun = self._lib.krun
-        train = self._train
-        put = self._put_candidates
-        tbl = self._tbl
-        rc_train = layout.RC_TRAIN
-        i_note_len = CI64["note_len"]
-        i_tb_len = CI64["tb_len"]
-        tb = self._mtb
-        while True:
-            rc = krun(tbl)
-            if mci[i_note_len]:
-                self._drain_notes()
-            if rc != rc_train:
-                break
-            # Drain the batched training records in arrival order.  Only
-            # the final record's candidates are installed: the kernel is
-            # suspended inside that record's access, and it only defers a
-            # record past its own access when the scheme's candidates are
-            # not consumed by it.
-            n = mci[i_tb_len]
-            cands = None
-            for i in range(0, 4 * n, 4):
-                cands = train(tb[i], tb[i + 1], tb[i + 2], bool(tb[i + 3]))
-            mci[i_tb_len] = 0
-            put(cands)
-        return mci[CI64["pos"]] - start
+    # -------------------------------------------------------------- crossings
 
     def _drain_notes(self):
         mci = self._mci
@@ -359,6 +339,7 @@ class CRuntime:
             cand_line[i] = cand.line_addr
             cand_lp[i] = 1 if cand.low_priority else 0
         mci[CI64["cand_len"]] = n
+
     # ----------------------------------------------------- boundary operations
 
     def reset_hierarchy_stats(self):
@@ -374,3 +355,60 @@ class CRuntime:
 
     def sync_to_state(self, contents=True):
         """No-op: the compiled kernel works in the state arrays directly."""
+
+
+def interleave(runtimes, targets, on_stop):
+    """Run one domain's cores to completion, scheduled inside ``ksched``.
+
+    ``targets`` holds each core's pending warmup target (``None`` when it
+    has none left); ``on_stop(core)`` fires when a core reaches its
+    target, with the core's notes already drained.  Bit-identical to
+    :func:`repro.cpu.core.interleave_two_level` over the same cores.
+    """
+    ksched = load_kernel().ksched
+    n = len(runtimes)
+    ctl = np.empty(layout.KS_CORES + layout.KS_STRIDE * n, dtype=np.int64)
+    ctl[layout.KS_CORE] = -1
+    ctl[layout.KS_N_CORES] = n
+    for idx, (runtime, target) in enumerate(zip(runtimes, targets)):
+        slot = layout.KS_CORES + layout.KS_STRIDE * idx
+        ctl[slot] = ctypes.addressof(runtime.table)
+        ctl[slot + 1] = -1 if target is None else target
+    mctl = memoryview(ctl)
+    arg = ctl.ctypes.data
+    rc_done = layout.RC_DONE
+    rc_train = layout.RC_TRAIN
+    ks_core = layout.KS_CORE
+    i_pos = CI64["pos"]
+    i_note_len = CI64["note_len"]
+    i_tb_len = CI64["tb_len"]
+    while True:
+        rc = ksched(arg)
+        if rc == rc_done:
+            return
+        idx = mctl[ks_core]
+        runtime = runtimes[idx]
+        mci = runtime._mci
+        if mci[i_note_len]:
+            runtime._drain_notes()
+        if rc == rc_train:
+            # Drain the batched training records in arrival order.  Only
+            # the final record's candidates are installed: the kernel is
+            # suspended inside that record's access, and it only defers a
+            # record past its own access when the scheme's candidates are
+            # not consumed by it.
+            train = runtime._train
+            tb = runtime._mtb
+            cands = None
+            for i in range(0, 4 * mci[i_tb_len], 4):
+                cands = train(tb[i], tb[i + 1], tb[i + 2], bool(tb[i + 3]))
+            mci[i_tb_len] = 0
+            runtime._put_candidates(cands)
+            continue
+        mctl[ks_core] = -1
+        slot = layout.KS_CORES + layout.KS_STRIDE * idx + 1
+        target = mctl[slot]
+        if target >= 0 and mci[i_pos] >= target:
+            mctl[slot] = -1
+            if on_stop is not None:
+                on_stop(idx)

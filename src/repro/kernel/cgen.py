@@ -8,8 +8,17 @@ never disagree about where a counter lives.
 
 Exported symbols:
 
-- ``long krun(void **ptrs)`` — run the current batch.  Returns
-  ``RC_DONE`` when the batch bound / horizon is reached, or
+- ``long ksched(int64_t *ctl)`` — run every core of one LLC/DRAM
+  domain, scheduled exactly as ``repro.cpu.core.interleave_two_level``
+  schedules them: the minimum-``(retire, core)`` core runs one ``krun``
+  batch bounded by the next core's retirement time and its own warmup
+  target.  The control block (layout ``KS_*`` in
+  :mod:`repro.kernel.layout`) holds every core's pointer table and
+  pending warmup target.  Returns ``RC_TRAIN`` when a core's scheme must
+  be trained in Python (the core is suspended mid-op and resumes first
+  on re-entry), ``RC_YIELD`` when a core's batch ended with queued
+  usefulness notes or at its warmup target, and ``RC_DONE`` when every
+  core is done.  ``krun``, the per-core batch, is internal: it returns
   ``RC_TRAIN`` with training records appended to ``train_buf`` (the
   Python driver drains them into the scheme, writes the candidates, and
   re-enters; the kernel resumes mid-op from the saved context).  Schemes
@@ -42,6 +51,11 @@ def _defines():
     lines.append(f"#define PH_DEMAND_TRAIN {layout.PH_DEMAND_TRAIN}")
     lines.append(f"#define RC_DONE {layout.RC_DONE}")
     lines.append(f"#define RC_TRAIN {layout.RC_TRAIN}")
+    lines.append(f"#define RC_YIELD {layout.RC_YIELD}")
+    lines.append(f"#define KS_CORE {layout.KS_CORE}")
+    lines.append(f"#define KS_N_CORES {layout.KS_N_CORES}")
+    lines.append(f"#define KS_CORES {layout.KS_CORES}")
+    lines.append(f"#define KS_STRIDE {layout.KS_STRIDE}")
     lines.append(f"#define NOTE_USEFUL {layout.NOTE_USEFUL}")
     lines.append(f"#define NOTE_USELESS {layout.NOTE_USELESS}")
     lines.append(f"#define TB_CAP {layout.TB_CAP}")
@@ -89,6 +103,7 @@ def _scheme_defines():
 
 
 _BODY = r"""
+#include <float.h>
 #include <stdint.h>
 
 #define CI(n) ci[CI_##n]
@@ -1065,7 +1080,10 @@ static void bind(kctx_t *k, void **P) {
 
 /* ------------------------------------------------------------------ krun */
 
-long krun(void **P) {
+/* One core's batch: ops until pos reaches end or retirement passes the
+   horizon.  Returns RC_DONE, or RC_TRAIN with training records queued
+   (a re-entry resumes mid-op from the saved context). */
+static long krun(void **P) {
     kctx_t k;
     bind(&k, P);
     int64_t *ci = k.ci;
@@ -1303,6 +1321,67 @@ resume_demand:
     SAVE_LOCALS;
     return RC_DONE;
 }
+
+/* ---------------------------------------------------------------- ksched */
+
+#define KS_TABLE(i) ((void **)(intptr_t)ctl[KS_CORES + KS_STRIDE * (i)])
+#define KS_TARGET(i) ctl[KS_CORES + KS_STRIDE * (i) + 1]
+
+/* interleave_two_level in C: run the minimum-(retire, core) core until
+   its retirement passes the next core's (ties broken by core index), its
+   warmup target or its trace end.  Returns RC_TRAIN (core ctl[KS_CORE]
+   is suspended mid-op and resumes first on re-entry), RC_YIELD (that
+   core's batch ended with queued notes or at its warmup target) or
+   RC_DONE (every core is done). */
+long ksched(int64_t *ctl) {
+    int64_t n = ctl[KS_N_CORES];
+    int64_t cur = ctl[KS_CORE];
+    if (cur >= 0) goto run;
+    for (;;) {
+        int64_t nxt = -1;
+        double t_cur = 0.0, t_nxt = 0.0;
+        cur = -1;
+        for (int64_t i = 0; i < n; i++) {
+            void **P = KS_TABLE(i);
+            int64_t *ci = (int64_t *)P[P_ci64];
+            if (CI(pos) >= CI(n_ops)) continue;
+            double t = ((double *)P[P_cf64])[CF_retire];
+            if (cur < 0 || t < t_cur) {
+                nxt = cur; t_nxt = t_cur;
+                cur = i; t_cur = t;
+            } else if (nxt < 0 || t < t_nxt) {
+                nxt = i; t_nxt = t;
+            }
+        }
+        if (cur < 0) {
+            ctl[KS_CORE] = -1;
+            return RC_DONE;
+        }
+        {
+            void **P = KS_TABLE(cur);
+            int64_t *ci = (int64_t *)P[P_ci64];
+            double *cf = (double *)P[P_cf64];
+            int64_t target = KS_TARGET(cur);
+            CI(end) = target >= 0 && target < CI(n_ops) ? target : CI(n_ops);
+            CF(horizon) = nxt >= 0 ? t_nxt : DBL_MAX;
+            CI(strict) = nxt >= 0 && cur > nxt;
+        }
+run:
+        {
+            void **P = KS_TABLE(cur);
+            int64_t *ci = (int64_t *)P[P_ci64];
+            int64_t target = KS_TARGET(cur);
+            long rc = krun(P);
+            if (rc == RC_TRAIN || CI(note_len) || (target >= 0 && CI(pos) >= target)) {
+                ctl[KS_CORE] = cur;
+                return rc == RC_TRAIN ? RC_TRAIN : RC_YIELD;
+            }
+        }
+    }
+}
+
+#undef KS_TABLE
+#undef KS_TARGET
 
 /* ---------------------------------------------------------------- kbucket */
 

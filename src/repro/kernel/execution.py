@@ -3,27 +3,25 @@
 This is the glue between the system drivers and the two kernels: it packs
 the freshly built object model into a :class:`~repro.kernel.state.KernelState`,
 selects a runtime (:class:`~repro.kernel.pykernel.PyRuntime` or the
-compiled twin from :mod:`repro.kernel.cbuild`), exposes the exact driver
-surface of :class:`repro.cpu.core.CoreExecution` (``run_ops``,
-``run_ops_until``, ``mark_stats_start``, ``done``/``time``/``ops``), and
-writes everything back into the objects at the end so result assembly,
-``flush_training`` and post-run inspection are unchanged.
+compiled twin from :mod:`repro.kernel.cbuild`), exposes the driver
+surface of :class:`repro.cpu.core.CoreExecution` (``done``/``time``/
+``ops``, ``mark_stats_start`` and, on the py kernel, ``run_ops``/
+``run_ops_until``), and writes everything back into the objects at the
+end so result assembly, ``flush_training`` and post-run inspection are
+unchanged.
 
 Every run shares one :class:`KernelDomain` (the LLC + DRAM +
 bandwidth-monitor working state) across its cores — one core for a
-single-core run — and is scheduled by the public-API driver
-:func:`repro.cpu.core.interleave_two_level`.
+single-core run — and :meth:`KernelDomain.interleave` schedules them:
+the py kernel through the public-API driver
+:func:`repro.cpu.core.interleave_two_level`, the compiled kernel inside
+C (``ksched``), which returns to Python only for training crossings,
+queued notes and warmup boundaries.
 """
 
-import math
-
+from repro.cpu.core import _MAX_FLOAT, _fire_met_checkpoints, interleave_two_level
 from repro.kernel.pykernel import PyRuntime, PyShared
 from repro.kernel.state import KernelState, SharedState
-
-_INF = float("inf")
-#: Always-permissive horizon for plain ``run_ops`` batches (finite so the
-#: compiled kernel can keep the comparison in one double).
-_MAX_FLOAT = math.nextafter(_INF, 0.0)
 
 
 #: Memoized probe result: ``(ok, kind, reason)`` where ``kind`` is
@@ -124,6 +122,22 @@ class KernelDomain:
     def bucket(self, cycle):
         return self.shared.bucket(cycle)
 
+    def interleave(self, executions, stop_ops=None, on_stop=None):
+        """Run this domain's cores (``KernelExecution`` list) to completion.
+
+        Same contract as :func:`repro.cpu.core.interleave_two_level`, which
+        is what the py kernel runs; the compiled kernel runs the same
+        schedule inside C, one call per warmup boundary when no scheme
+        trains in Python.
+        """
+        if self.kind == "py":
+            interleave_two_level(executions, stop_ops, on_stop)
+            return
+        from repro.kernel.cbuild import interleave
+
+        targets = _fire_met_checkpoints(executions, stop_ops, on_stop)
+        interleave([ex.runtime for ex in executions], targets, on_stop)
+
     def write_back(self, contents=True):
         """Restore the shared LLC/DRAM objects (call once, after the run).
 
@@ -141,10 +155,11 @@ class KernelExecution:
     Wraps an already-built ``CoreExecution`` (which owns the trace and the
     hierarchy objects); between :meth:`__init__` and :meth:`write_back`
     the packed working form is the truth and the wrapped objects are
-    stale.  The driver surface (``run_ops``/``run_ops_until``/``done``/
-    ``time``/``ops``/``mark_stats_start``) matches ``CoreExecution``
-    exactly, so :func:`repro.cpu.core.interleave_two_level` schedules MP
-    mixes over these unchanged.
+    stale.  The driver surface (``done``/``time``/``ops``/
+    ``mark_stats_start``, plus ``run_ops``/``run_ops_until`` on the py
+    kernel) matches ``CoreExecution``, so
+    :func:`repro.cpu.core.interleave_two_level` schedules py-kernel cores
+    unchanged.
     """
 
     def __init__(self, execution, trace, domain):
@@ -199,19 +214,17 @@ class KernelExecution:
         return self.runtime.pos
 
     def run_ops(self, max_ops=None):
-        runtime = self.runtime
-        pos = runtime.pos
-        n = runtime.n_ops
-        end = n if max_ops is None else min(n, pos + max_ops)
-        return runtime.run(end, _MAX_FLOAT, False)
+        return self.run_ops_until(_MAX_FLOAT, max_ops)
 
     def run_ops_until(self, horizon, max_ops=None, strict=False):
+        """One py-kernel batch; compiled cores are batched inside C only."""
+        if self.domain.kind != "py":
+            raise TypeError(
+                "compiled executions are scheduled by KernelDomain.interleave"
+            )
         runtime = self.runtime
-        pos = runtime.pos
         n = runtime.n_ops
-        end = n if max_ops is None else min(n, pos + max_ops)
-        if horizon == _INF:
-            horizon = _MAX_FLOAT
+        end = n if max_ops is None else min(n, runtime.pos + max_ops)
         return runtime.run(end, horizon, strict)
 
     def mark_stats_start(self):

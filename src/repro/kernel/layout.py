@@ -128,9 +128,19 @@ PH_TOP = 0          # between ops
 PH_L1PF_TRAIN = 1   # waiting on l2_pf.train for an L1-stride prefetch issue
 PH_DEMAND_TRAIN = 2  # waiting on l2_pf.train for the demand L1 miss
 
-#: ``krun`` return codes.
-RC_DONE = 0         # batch finished (end / horizon / trace exhausted)
+#: ``krun``/``ksched`` return codes.
+RC_DONE = 0         # krun: batch finished; ksched: every core is done
 RC_TRAIN = 1        # scheme train requested; train_buf holds the records
+RC_YIELD = 2        # ksched: a batch ended with queued notes or at its warmup target
+
+#: ``ksched`` control block (one int64 array): the core the kernel
+#: returned for (and resumes first on re-entry; -1 = none), the core
+#: count, then ``KS_STRIDE`` slots per core — its pointer-table address
+#: and its pending warmup target (-1 = none).
+KS_CORE = 0
+KS_N_CORES = 1
+KS_CORES = 2
+KS_STRIDE = 2
 
 #: Note-queue record kinds (triples of ``kind, cycle, line``).
 NOTE_USEFUL = 0

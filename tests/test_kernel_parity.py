@@ -26,11 +26,13 @@ import random
 
 import pytest
 
+from repro.constants import LINE_SHIFT
 from repro.cpu.system import MultiCoreSystem, System, SystemConfig
 from repro.kernel import kernel_available
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import MP_DRAM, ST_DRAM
 from repro.memory.hierarchy import HierarchyConfig
+from repro.prefetchers.base import PrefetchCandidate, Prefetcher
 from repro.workloads.catalog import build_trace
 
 FLAT_KERNELS = ("py", "compiled") if kernel_available() else ("py",)
@@ -137,6 +139,15 @@ def test_single_thread_parity(scheme, workload, length, llc_geometry, warmup_fra
         _assert_same(base, result.to_dict(), f"{scheme}/{workload}/{kernel}")
 
 
+def _mix_dicts(scheme, traces, warmup_frac, kernel):
+    # One shared 2MB LLC: per-core pressure on it is the point.
+    cfg = _config(scheme, (2 * 1024 * 1024, 16), warmup_frac, kernel, dram=MP_DRAM)
+    mp = MultiCoreSystem(cfg, num_cores=len(traces)).run(traces)
+    return [core.to_dict() for core in mp.per_core] + [
+        {"global_cycles": mp.global_cycles}
+    ]
+
+
 @pytest.mark.parametrize(
     "scheme,warmup_frac",
     [("dspatch", 0.25), ("spp", 0.1), ("bop", 0.0)],
@@ -146,18 +157,9 @@ def test_multi_programmed_parity(scheme, warmup_frac):
     traces = [
         build_trace(rng.choice(_WORKLOADS), rng.randrange(900, 1600)) for _ in range(4)
     ]
-    geometry = (2 * 1024 * 1024, 16)  # shared LLC; per-core pressure is the point
-
-    def run(kernel):
-        cfg = _config(scheme, geometry, warmup_frac, kernel, dram=MP_DRAM)
-        mp = MultiCoreSystem(cfg, num_cores=4).run(traces)
-        return [core.to_dict() for core in mp.per_core] + [
-            {"global_cycles": mp.global_cycles}
-        ]
-
-    baseline = run("object")
+    baseline = _mix_dicts(scheme, traces, warmup_frac, "object")
     for kernel in FLAT_KERNELS:
-        candidate = run(kernel)
+        candidate = _mix_dicts(scheme, traces, warmup_frac, kernel)
         for core_idx, (base, cand) in enumerate(zip(baseline, candidate)):
             _assert_same(base, cand, f"mp/{scheme}/{kernel}/core{core_idx}")
 
@@ -344,3 +346,118 @@ def test_flush_training_sees_identical_residual_state(scheme, monkeypatch):
     assert captured["object"], "flush was never reached"
     for kernel in FLAT_KERNELS:
         assert captured[kernel] == captured["object"], f"flush state diverges ({kernel})"
+
+
+# ---------------------------------------------------------------------------
+# The compiled scheduler: ``ksched`` runs interleave_two_level's schedule
+# inside C and returns to Python only for training crossings, queued
+# notes, warmup boundaries and the end of the run.
+
+_SCHED_CASES = [
+    # (scheme, cores, warmup_frac): a compiled twin (no crossings), a
+    # Python-trained scheme and a composite with a Python part, so that
+    # crossings arrive from different cores between C entries; zero
+    # warmup fires every target before the first op.
+    ("dspatch", 1, 0.0),
+    ("dspatch", 2, 0.25),
+    ("dspatch", 8, 0.0),
+    ("bop", 1, 0.25),
+    ("bop", 2, 0.0),
+    ("bop", 8, 0.25),
+    ("spp+bop", 2, 0.4),
+    ("spp+bop", 4, 0.0),
+]
+
+
+@pytest.mark.parametrize("scheme,n_cores,warmup_frac", _SCHED_CASES)
+def test_scheduler_parity_uneven_mix(scheme, n_cores, warmup_frac):
+    """Uneven per-core trace lengths: short cores finish early and the
+    schedule keeps running the rest, on every kernel identically."""
+    rng = random.Random(_SEED + 31 * n_cores)
+    traces = [
+        build_trace(rng.choice(_WORKLOADS), rng.randrange(150, 1800))
+        for _ in range(n_cores)
+    ]
+    baseline = _mix_dicts(scheme, traces, warmup_frac, "object")
+    for kernel in FLAT_KERNELS:
+        candidate = _mix_dicts(scheme, traces, warmup_frac, kernel)
+        for core_idx, (base, cand) in enumerate(zip(baseline, candidate)):
+            _assert_same(base, cand, f"sched/{scheme}/{n_cores}/{kernel}/core{core_idx}")
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C toolchain")
+@pytest.mark.parametrize("warmup_frac,entries", [(0.25, 5), (0.0, 1)])
+def test_compiled_mix_enters_c_once_per_boundary(warmup_frac, entries, monkeypatch):
+    """A compiled-twin mix makes one C entry per warmup boundary plus
+    the final one (zero-op warmups fire before the first entry) — never
+    one per scheduling slice."""
+    from repro.kernel import cbuild
+
+    lib = cbuild.load_kernel()
+    real = lib.ksched
+    calls = []
+
+    def counting(ctl):
+        calls.append(ctl)
+        return real(ctl)
+
+    monkeypatch.setattr(lib, "ksched", counting)
+    traces = [build_trace(w, 1200) for w in _WORKLOADS[:4]]
+    _mix_dicts("dspatch", traces, warmup_frac, "compiled")
+    assert len(calls) == entries
+
+
+class _BurstPrefetcher(Prefetcher):
+    """Python-trained test scheme: every 64th training call returns 300
+    candidates, more than the kernel's initial candidate buffer holds."""
+
+    name = "burst"
+
+    def __init__(self):
+        self.calls = 0
+
+    def train(self, cycle, pc, addr, hit):
+        self.calls += 1
+        if self.calls % 64 != 1:
+            return []
+        line = addr >> LINE_SHIFT
+        return [PrefetchCandidate(line + d, d > 200) for d in range(1, 301)]
+
+
+@pytest.mark.parametrize("n_cores", (1, 2))
+def test_candidate_buffer_growth(n_cores, monkeypatch):
+    """More candidates than CAND_CAP0 regrow the crossing buffers and
+    rewrite the core's pointer table in place, so the C scheduler keeps
+    running on the new arrays."""
+    import repro.cpu.system as system_mod
+    from repro.kernel import layout
+
+    assert 300 > layout.CAND_CAP0
+    real_build = system_mod.build_prefetcher
+    monkeypatch.setattr(
+        system_mod,
+        "build_prefetcher",
+        lambda name, bw: _BurstPrefetcher() if name == "burst" else real_build(name, bw),
+    )
+    grown = []
+    if kernel_available():
+        from repro.kernel.cbuild import CRuntime
+
+        real_put = CRuntime._put_candidates
+
+        def put(runtime, cands):
+            cap = runtime.state.ci64[layout.CI64["cand_cap"]]
+            real_put(runtime, cands)
+            if runtime.state.ci64[layout.CI64["cand_cap"]] != cap:
+                grown.append(runtime)
+
+        monkeypatch.setattr(CRuntime, "_put_candidates", put)
+    traces = [build_trace(w, 1500) for w in _WORKLOADS[:n_cores]]
+    baseline = _mix_dicts("burst", traces, 0.25, "object")
+    assert baseline[0]["pf_issued"] > 0
+    for kernel in FLAT_KERNELS:
+        candidate = _mix_dicts("burst", traces, 0.25, kernel)
+        for core_idx, (base, cand) in enumerate(zip(baseline, candidate)):
+            _assert_same(base, cand, f"burst/{n_cores}/{kernel}/core{core_idx}")
+    if kernel_available():
+        assert len(grown) == n_cores  # every core grew its buffers once
