@@ -1,10 +1,23 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata for the DSPatch reproduction.
 
-The canonical metadata lives in ``pyproject.toml``; this file only enables
-legacy editable installs (``pip install -e . --no-use-pep517``) on offline
-machines whose setuptools cannot build PEP 660 editable wheels.
+``pip install -e .`` installs the ``repro`` package from ``src/`` and the
+``repro`` command-line entry point (the same as ``python -m repro``).
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"', _INIT.read_text(), re.M).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description="Reproduction of DSPatch: Dual Spatial Pattern Prefetcher (MICRO 2019)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

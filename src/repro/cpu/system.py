@@ -71,9 +71,8 @@ class SystemConfig:
     #: tests/test_kernel_parity.py) and the field never enters spec
     #: fingerprints, so results share cache entries across kernels.
     #: Runs the kernels cannot express — event tracing on, pollution
-    #: recording, non-registry replacement policies — use the object
-    #: path regardless, warning once per reason when "py"/"compiled"
-    #: was chosen explicitly.
+    #: recording — use the object path regardless, warning once per
+    #: reason when "py"/"compiled" was chosen explicitly.
     kernel: str = "auto"
 
     @staticmethod
@@ -173,9 +172,9 @@ def _resolve_kernel(cfg):
     the engine config (``repro run --kernel`` / ``REPRO_KERNEL``); a still
     unresolved "auto" picks "compiled" when a toolchain is present and
     "py" otherwise (never an error).  Runs the kernels cannot express —
-    tracing, pollution recording, generic replacement policies — fall back
-    to the object path whatever was selected, with a once-per-reason
-    warning when the kernel was chosen explicitly; an *explicit*
+    tracing, pollution recording — fall back to the object path whatever
+    was selected, with a once-per-reason warning when the kernel was
+    chosen explicitly; an *explicit*
     "compiled" without a working toolchain raises (loud), while "auto"
     degrades to "py" silently-but-gracefully.
     """
@@ -187,18 +186,10 @@ def _resolve_kernel(cfg):
         choice = current_config().kernel
     if choice == "object":
         return "object"
-    from repro.kernel.state import VICTIM_MODES
-
-    hier = cfg.hierarchy
     if cfg.trace_prefetch or cfg.trace_cache:
         fallback = "tracing"
     elif cfg.record_pollution_victims:
         fallback = "pollution"
-    elif any(
-        level.replacement not in VICTIM_MODES
-        for level in (hier.l1, hier.l2, hier.llc)
-    ):
-        fallback = "replacement"
     else:
         fallback = None
     if fallback is not None:
@@ -255,7 +246,6 @@ _warned_object_fallbacks = set()
 _FALLBACK_CAUSES = {
     "tracing": "event tracing",
     "pollution": "pollution recording",
-    "replacement": "a replacement policy outside the kernels' set",
 }
 
 

@@ -58,14 +58,12 @@ from repro.engine.fingerprint import (
 from repro.engine.parallel import execute_spec, execute_specs, mix_spec, run_spec
 from repro.engine.session import Session, default_session
 from repro.engine.specs import MixSpec, RunSpec, TraceSpec
-from repro.engine.store import ResultStore
 
 __all__ = [
     "EngineConfig",
     "InMemoryBackend",
     "LocalDirBackend",
     "MixSpec",
-    "ResultStore",
     "RunSpec",
     "Session",
     "StoreBackend",

@@ -9,8 +9,7 @@ can be plugged in via ``Session(backend=...)``.
 
 Three implementations ship here:
 
-- :class:`LocalDirBackend` — the on-disk directory store (what
-  ``engine/store.py`` historically called ``ResultStore``);
+- :class:`LocalDirBackend` — the on-disk directory store;
 - :class:`InMemoryBackend` — a process-local store that round-trips
   artifacts through ``pickle`` bytes, for hermetic tests and ephemeral
   sessions;

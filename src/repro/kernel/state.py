@@ -53,9 +53,6 @@ _PF_STATS = (
     "dropped_in_flight",
     "dropped_bandwidth",
 )
-#: Replacement-policy name -> fast victim mode (matches Cache._victim_mode).
-VICTIM_MODES = {"lru": 0, "pf-dead-block": 1}
-
 #: Scheme arrays that exist even when no compiled twin is active (the
 #: pointer table is fixed, so inactive schemes get 1-element dummies).
 _SP_I64_ARRAYS = (

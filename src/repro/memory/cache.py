@@ -24,18 +24,13 @@ identical to sorting by ``last_touch`` (which is still maintained on every
 line), so the two registered policies reduce to O(1)/first-match scans —
 plain LRU evicts the front line, the prefetch-aware dead-block policy
 evicts the first never-demanded prefetched line in recency order (the
-oldest such line) and falls back to the front.  Unknown policies would go
-through the generic ``victim()`` walk.
+oldest such line) and falls back to the front.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.memory.replacement import (
-    LruPolicy,
-    PrefetchAwareDeadBlock,
-    make_replacement_policy,
-)
+from repro.memory.replacement import PrefetchAwareDeadBlock, make_replacement_policy
 
 
 class CacheLine:
@@ -115,8 +110,6 @@ class Cache:
         "_sets",
         "_set_mask",
         "_tag_shift",
-        "_policy",
-        "_victim",
         "_victim_mode",
         "_tick",
         "last_access_first_use",
@@ -138,16 +131,11 @@ class Cache:
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
         self._set_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1
-        self._policy = make_replacement_policy(config.replacement)
-        self._victim = self._policy.victim
-        # Recency-order fast paths (see module docstring): 0 = front-LRU,
-        # 1 = first-dead-else-front, 2 = generic victim() walk.
-        if type(self._policy) is LruPolicy:
-            self._victim_mode = 0
-        elif type(self._policy) is PrefetchAwareDeadBlock:
-            self._victim_mode = 1
-        else:
-            self._victim_mode = 2
+        # Recency-order victim selection (see module docstring): 0 =
+        # front-LRU, 1 = first-dead-else-front.  The policy registry is
+        # closed to these two classes.
+        policy = make_replacement_policy(config.replacement)
+        self._victim_mode = 1 if type(policy) is PrefetchAwareDeadBlock else 0
         self._tick = 0
         #: True when the most recent :meth:`access` was the first demand use
         #: of a prefetched line (read by the hierarchy for accounting).
@@ -260,11 +248,10 @@ class Cache:
             return None
         evicted = None
         if len(lines) >= self.ways:
-            mode = self._victim_mode
-            if mode == 0:
+            if self._victim_mode == 0:
                 # LRU: recency order makes the front line the victim.
                 victim = next(iter(lines.values()))
-            elif mode == 1:
+            else:
                 # Dead-block: first never-demanded prefetched line in
                 # recency order is the oldest one; front line otherwise.
                 victim = None
@@ -274,8 +261,6 @@ class Cache:
                         break
                 if victim is None:
                     victim = next(iter(lines.values()))
-            else:
-                victim = self._victim(lines.values())
             if victim.prefetched and not victim.used:
                 self.useless_evictions += 1
             if victim.dirty:

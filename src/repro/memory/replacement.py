@@ -20,11 +20,10 @@ Note: :class:`repro.memory.cache.Cache` applies the recency rules
 (``on_hit``/``on_fill``) inline — they are identical across both
 registered policies — and special-cases both policies' victim selection
 against its recency-ordered sets.  The methods here remain the reference
-specification of those rules (the tests exercise them directly) and the
-generic ``victim()`` fallback for policy subclasses.  A policy whose
-``on_hit``/``on_fill`` diverged from these rules would need Cache's
-inline path reverted; the registry is deliberately closed to the two
-entries below.
+specification of those rules (the tests exercise them directly); the
+cache never calls them.  The registry is deliberately closed to the two
+entries below, so every name the cache and the flat kernels accept has
+an inline path, and :func:`make_replacement_policy` rejects any other.
 """
 
 

@@ -11,9 +11,8 @@ import pytest
 
 from repro import engine
 from repro.cpu.trace import Trace
-from repro.engine import MixSpec, RunSpec, TraceSpec
+from repro.engine import LocalDirBackend, MixSpec, RunSpec, TraceSpec
 from repro.engine.session import default_session
-from repro.engine.store import ResultStore
 from repro.experiments import api
 from repro.memory.dram import DramConfig
 
@@ -72,18 +71,18 @@ class TestFingerprint:
         assert len(engine.code_salt()) == 16
 
 
-class TestResultStore:
+class TestLocalDirBackend:
     def test_result_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         store.save_result("ab" + "0" * 62, {"ipc": 1.25}, meta={"kind": "test"})
         assert store.load_result("ab" + "0" * 62) == {"ipc": 1.25}
 
     def test_missing_is_none(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         assert store.load_result("ff" + "0" * 62) is None
 
     def test_corrupt_entry_is_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         digest = "cd" + "0" * 62
         store.save_result(digest, 42)
         path = store._result_path(digest)
@@ -91,7 +90,7 @@ class TestResultStore:
         assert store.load_result(digest) is None
 
     def test_trace_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         trace = Trace([1, 2], [3, 4], [64, 128], [0, 1])
         store.save_trace("ee" + "0" * 62, trace)
         back = store.load_trace("ee" + "0" * 62)
@@ -102,7 +101,7 @@ class TestResultStore:
         produced the result — saves warn once and become no-ops."""
         blocker = tmp_path / "a-file"
         blocker.write_text("not a directory")
-        store = ResultStore(blocker)
+        store = LocalDirBackend(blocker)
         store.save_result("ab" + "0" * 62, 1)
         store.save_result("ab" + "0" * 62, 1)  # second save: no second warning
         store.save_trace("cd" + "0" * 62, Trace([0], [1], [64], [0]))
@@ -110,7 +109,7 @@ class TestResultStore:
         assert capsys.readouterr().err.count("not writable") == 1
 
     def test_clear_and_stats(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         store.save_result("ab" + "0" * 62, 1)
         store.save_trace("cd" + "0" * 62, Trace([0], [1], [64], [0]))
         stats = store.stats()
@@ -126,7 +125,7 @@ class TestGarbageCollection:
         return f"{i:02x}" + "0" * 62
 
     def test_noop_when_under_bound(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         store.save_result(self._digest(1), b"x" * 100)
         summary = store.gc(1 << 20)
         assert summary["removed"] == 0
@@ -134,7 +133,7 @@ class TestGarbageCollection:
         assert store.load_result(self._digest(1)) is not None
 
     def test_evicts_oldest_mtime_first(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         for i in range(4):
             store.save_result(self._digest(i), b"x" * 4096)
         # Age entries 0 and 1; leave 2 and 3 recent.
@@ -153,7 +152,7 @@ class TestGarbageCollection:
     def test_load_refreshes_recency(self, tmp_path):
         """A hit bumps the artifact's mtime, so recently *used* entries
         survive eviction even when they were written first."""
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         for i in range(3):
             store.save_result(self._digest(i), b"x" * 4096)
             path = store._result_path(self._digest(i))
@@ -166,7 +165,7 @@ class TestGarbageCollection:
         assert store.load_result(self._digest(2)) is None
 
     def test_covers_traces_too(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         store.save_trace(self._digest(7), Trace([0], [1], [64], [0]))
         path = store._trace_path(self._digest(7))
         os.utime(path, (1000, 1000))
@@ -175,7 +174,7 @@ class TestGarbageCollection:
         assert store.load_trace(self._digest(7)) is None
 
     def test_zero_bound_empties_store(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         for i in range(3):
             store.save_result(self._digest(i), i)
         summary = store.gc(0)
@@ -185,11 +184,11 @@ class TestGarbageCollection:
 
     def test_negative_bound_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ResultStore(tmp_path / "s").gc(-1)
+            LocalDirBackend(tmp_path / "s").gc(-1)
 
     def test_in_progress_temp_files_not_evicted(self, tmp_path):
         """gc racing a live _atomic_write must not yank the temp file."""
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         store.save_result(self._digest(1), b"x" * 4096)
         tmp = store._result_path(self._digest(2)).parent / ".tmp-inflight"
         tmp.parent.mkdir(parents=True, exist_ok=True)
@@ -202,7 +201,7 @@ class TestGarbageCollection:
         """Temp files older than the grace period are dead writers'
         leftovers and must be evictable, or gc could never reach the
         requested bound."""
-        store = ResultStore(tmp_path / "s")
+        store = LocalDirBackend(tmp_path / "s")
         tmp = store._result_path(self._digest(2)).parent / ".tmp-orphan"
         tmp.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(b"y" * 4096)
@@ -336,8 +335,6 @@ class TestVerifyScrub:
 
     @pytest.fixture
     def store(self, tmp_path):
-        from repro.engine import LocalDirBackend
-
         backend = LocalDirBackend(tmp_path / "store")
         backend.save_result(self.DIGEST, {"v": 1})
         backend.save_result(self.DIGEST2, {"v": 2})
@@ -418,7 +415,7 @@ class TestVerifyScrub:
         assert report["corrupt"] == 1 and report["quarantined"] == 1
 
     def test_tiered_backend_scrubs_its_local_tier(self, tmp_path):
-        from repro.engine import LocalDirBackend, TieredBackend
+        from repro.engine import TieredBackend
 
         local = LocalDirBackend(tmp_path / "local")
         shared = LocalDirBackend(tmp_path / "shared", touch_on_load=False)

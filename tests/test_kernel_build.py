@@ -12,7 +12,8 @@ Two bug classes are pinned here:
 
 Runs no flat kernel can express fall back to the object model; under an
 explicit kernel choice that fallback is warned about once per reason,
-under ``auto`` it stays quiet.
+under ``auto`` it stays quiet.  An unknown replacement policy is no such
+run: it is rejected on every kernel.
 """
 
 import pytest
@@ -240,3 +241,29 @@ def test_auto_kernel_falls_back_to_object_quietly(monkeypatch):
         ).run(trace)
     assert result.instructions > 0
     assert not system_mod._warned_object_fallbacks
+
+
+def test_unknown_replacement_policy_is_rejected_not_fallen_back(monkeypatch):
+    """Every registered policy runs on every kernel, so an unknown name is
+    an error on the py kernel too — never a warned object-model fallback."""
+    import dataclasses
+    import warnings
+
+    import repro.cpu.system as system_mod
+    from repro.cpu.system import System, SystemConfig
+    from repro.workloads.catalog import build_trace
+
+    monkeypatch.setattr(system_mod, "_warned_object_fallbacks", set())
+    cfg = SystemConfig.single_thread("dspatch", kernel="py")
+    hier = cfg.hierarchy
+    cfg = dataclasses.replace(
+        cfg,
+        hierarchy=dataclasses.replace(
+            hier, llc=dataclasses.replace(hier.llc, replacement="rrip")
+        ),
+    )
+    trace = build_trace("ispec06.mcf", 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"'rrip'.*lru, pf-dead-block"):
+            System(cfg).run(trace)

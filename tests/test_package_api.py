@@ -1,8 +1,12 @@
 """Tests on the public package surface (`import repro`)."""
 
+from pathlib import Path
+
 import pytest
 
 import repro
+
+_SETUP_PY = Path(__file__).resolve().parent.parent / "setup.py"
 
 
 class TestExports:
@@ -16,6 +20,22 @@ class TestExports:
     def test_version_string(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+
+class TestPackaging:
+    """``pip install -e .`` must install the package and the ``repro`` command."""
+
+    def test_setup_metadata(self):
+        from distutils.core import run_setup
+
+        dist = run_setup(str(_SETUP_PY), stop_after="init")
+        assert dist.get_name() == "repro"
+        assert dist.get_version() == repro.__version__
+        assert dist.package_dir == {"": "src"}
+        assert "repro" in dist.packages
+        assert {"repro.engine", "repro.kernel", "repro.prefetchers"} <= set(dist.packages)
+        assert dist.install_requires == ["numpy"]
+        assert dist.entry_points["console_scripts"] == ["repro = repro.cli:main"]
 
 
 class TestQuickstartContract:
